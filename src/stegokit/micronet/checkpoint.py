@@ -46,14 +46,6 @@ def save_checkpoint(model: HybridModel, path, iteration: int = 0) -> None:
             fh.write(np.ascontiguousarray(getattr(layer, attr), dtype="<f4").tobytes())
 
 
-def read_checkpoint_header(path) -> dict:
-    with open(path, "rb") as fh:
-        if fh.read(4) != MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        (length,) = struct.unpack("<I", fh.read(4))
-        return json.loads(fh.read(length).decode("utf-8"))
-
-
 def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
     """Rebuild the model skeleton from the header and fill in its arrays.
 

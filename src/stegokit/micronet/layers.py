@@ -72,22 +72,20 @@ class Conv2d(Layer):
         )
 
     def forward(self, x, training=False):
-        cols, oh, ow = ops.im2col(x, self.w.shape[2], self.stride, self.pad)
+        out, cols = ops.conv2d_forward(
+            x, self.w, self.b, self.stride, self.pad, return_cols=True
+        )
         self._cols = cols if training else None
         self._x_shape = x.shape
-        return ops._conv_from_cols(cols, x.shape[0], oh, ow, self.w, self.b)
+        return out
 
     def backward(self, grad_out):
-        n, oc, oh, ow = grad_out.shape
-        gom = grad_out.transpose(0, 2, 3, 1).reshape(-1, oc)
-        self.gw = (gom.T @ self._cols).reshape(self.w.shape)
-        self.gb = gom.sum(axis=0)
+        grad_x, self.gw, self.gb = ops.conv2d_backward(
+            self._x_shape, self.w, grad_out, self.stride, self.pad,
+            cols=self._cols, input_grad=self.input_grad,
+        )
         self._cols = None
-        if not self.input_grad:
-            return None
-        grad_cols = gom @ self.w.reshape(oc, -1)
-        k = self.w.shape[2]
-        return ops.col2im(grad_cols, self._x_shape, k, self.stride, self.pad, oh, ow)
+        return grad_x
 
 
 class BatchNorm2d(Layer):

@@ -1,7 +1,9 @@
 """Forward/backward primitives on (batch, channels, height, width) arrays.
 
-Everything is plain numpy; convolution and pooling funnel through one strided
-patch-extraction helper so the heavy lifting is a single GEMM per call.
+Everything is plain numpy. Convolution goes through one strided
+patch-extraction helper (im2col) so the heavy lifting is a single GEMM per
+call; average pooling sums shifted strided slices, or reshapes and takes the
+mean where the windows tile the input exactly.
 """
 
 from __future__ import annotations
@@ -22,78 +24,102 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    """(N, C, H, W) -> ((N*OH*OW, C*k*k) patch matrix, OH, OW)."""
+    """(N, C, H, W) -> ((N*OH*OW, k*k*C) patch matrix, OH, OW).
+
+    Columns are in (u, v, c) order: column ``(u*k + v)*C + c`` of row
+    ``(n*OH + i)*OW + j`` holds ``x[n, c, i*s + u - pad, j*s + v - pad]``.
+    The patches are read from a channels-last view of ``x``, so each kernel
+    row is one contiguous run of ``k*C`` values; the padding copy, where
+    there is one, also does the layout change.
+    """
     n, c, h, w = x.shape
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
+    x = x.transpose(0, 2, 3, 1)
     if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    sn, sc, sh, sw = x.strides
+        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    sn, sh, sw, sc = x.strides
     patches = np.lib.stride_tricks.as_strided(
         x,
-        shape=(n, oh, ow, c, kernel, kernel),
-        strides=(sn, sh * stride, sw * stride, sc, sh, sw),
+        shape=(n, oh, ow, kernel, kernel, c),
+        strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
     )
-    return patches.reshape(n * oh * ow, c * kernel * kernel), oh, ow
+    return patches.reshape(n * oh * ow, kernel * kernel * c), oh, ow
 
 
 def col2im(
     cols: np.ndarray, x_shape: tuple, kernel: int, stride: int, pad: int, oh: int, ow: int
 ) -> np.ndarray:
-    """Scatter-add patch-matrix gradients back onto the input, inverse of im2col."""
+    """Scatter-add patch-matrix gradients back onto the input, adjoint of im2col.
+
+    Returns an (N, C, H, W)-shaped view of a channels-last buffer.
+    """
     n, c, h, w = x_shape
-    grads = cols.reshape(n, oh, ow, c, kernel, kernel).transpose(0, 3, 4, 5, 1, 2)
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
+    grads = cols.reshape(n, oh, ow, kernel, kernel, c)
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
     for u in range(kernel):
         for v in range(kernel):
-            gx[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += grads[
-                :, :, u, v
+            gx[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += grads[
+                :, :, :, u, v
             ]
-    if pad:
-        gx = gx[:, :, pad : pad + h, pad : pad + w]
-    return gx
+    return gx[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+
+
+def _weight_matrix(w: np.ndarray) -> np.ndarray:
+    """(O, C, k, k) weights -> (O, k*k*C), matching im2col's (u, v, c) columns."""
+    return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
 def conv2d_forward(
-    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
-) -> np.ndarray:
-    """out(n,o,i,j) = sum_c,u,v w(o,c,u,v) * x(n,c,i*s+u-pad,j*s+v-pad) + b(o)."""
-    _conv_check(x, w)
+    x: np.ndarray,
+    w: np.ndarray,
+    b: np.ndarray,
+    stride: int = 1,
+    pad: int = 0,
+    return_cols: bool = False,
+):
+    """out(n,o,i,j) = sum_c,u,v w(o,c,u,v) * x(n,c,i*s+u-pad,j*s+v-pad) + b(o).
+
+    With ``return_cols`` it returns ``(out, cols)``, the im2col patch matrix
+    that conv2d_backward can reuse.
+    """
+    _conv_check(x.shape, w)
     cols, oh, ow = im2col(x, w.shape[2], stride, pad)
-    return _conv_from_cols(cols, x.shape[0], oh, ow, w, b)
+    out = cols @ _weight_matrix(w).T
+    if b is not None:
+        out += b
+    out = np.ascontiguousarray(out.reshape(x.shape[0], oh, ow, -1).transpose(0, 3, 1, 2))
+    return (out, cols) if return_cols else out
 
 
-def _conv_check(x: np.ndarray, w: np.ndarray) -> None:
-    if x.ndim != 4 or w.ndim != 4:
+def _conv_check(x_shape: tuple, w: np.ndarray) -> None:
+    if len(x_shape) != 4 or w.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weights")
-    if x.shape[1] != w.shape[1]:
-        raise ValueError(f"channel mismatch: input {x.shape[1]}, weights {w.shape[1]}")
+    if x_shape[1] != w.shape[1]:
+        raise ValueError(f"channel mismatch: input {x_shape[1]}, weights {w.shape[1]}")
     if w.shape[2] != w.shape[3]:
         raise ValueError("only square kernels supported")
 
 
-def _conv_from_cols(cols, n, oh, ow, w, b):
-    oc = w.shape[0]
-    out = cols @ w.reshape(oc, -1).T
-    if b is not None:
-        out += b
-    return np.ascontiguousarray(out.reshape(n, oh, ow, oc).transpose(0, 3, 1, 2))
-
-
 def conv2d_backward(
-    x: np.ndarray,
+    x: np.ndarray | tuple,
     w: np.ndarray,
     grad_out: np.ndarray,
     stride: int = 1,
     pad: int = 0,
     cols: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    input_grad: bool = True,
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of conv2d_forward: (grad_x, grad_w, grad_b).
 
-    ``cols`` may pass the forward pass's patch matrix to skip recomputing it.
+    ``cols`` may pass the forward pass's patch matrix, whose columns are in
+    im2col's (u, v, c) order, to skip recomputing it; ``x`` is then read
+    only for its shape and may be given as the shape tuple. With
+    ``input_grad=False`` grad_x is None and its col2im is skipped.
     """
-    _conv_check(x, w)
+    x_shape = x if isinstance(x, tuple) else x.shape
+    _conv_check(x_shape, w)
     kernel = w.shape[2]
     n, oc, oh, ow = grad_out.shape
     if cols is None:
@@ -101,11 +127,13 @@ def conv2d_backward(
         if (oh2, ow2) != (oh, ow):
             raise ValueError("grad_out shape inconsistent with forward output")
     gom = grad_out.transpose(0, 2, 3, 1).reshape(-1, oc)
-    grad_w = (gom.T @ cols).reshape(w.shape)
+    grad_w = (gom.T @ cols).reshape(oc, kernel, kernel, -1).transpose(0, 3, 1, 2)
     grad_b = gom.sum(axis=0)
-    grad_cols = gom @ w.reshape(oc, -1)
-    grad_x = col2im(grad_cols, x.shape, kernel, stride, pad, oh, ow)
-    return grad_x, grad_w, grad_b
+    grad_x = None
+    if input_grad:
+        grad_cols = gom @ _weight_matrix(w)
+        grad_x = col2im(grad_cols, x_shape, kernel, stride, pad, oh, ow)
+    return grad_x, np.ascontiguousarray(grad_w), grad_b
 
 
 def batchnorm_forward(
@@ -170,12 +198,19 @@ def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
     return grad_out * (x > 0)
 
 
+def _pool_tiles(h: int, w: int, window: int, stride: int, pad: int) -> bool:
+    """True when the windows tile the input exactly: no overlap, gap or pad."""
+    return stride == window and pad == 0 and h % window == 0 and w % window == 0
+
+
 def avgpool(x: np.ndarray, window: int, stride: int | None = None, pad: int = 0) -> np.ndarray:
     """Mean over window*window patches; zero padding counts toward the mean."""
     stride = window if stride is None else stride
     n, c, h, w = x.shape
     oh = conv_out_size(h, window, stride, pad)
     ow = conv_out_size(w, window, stride, pad)
+    if _pool_tiles(h, w, window, stride, pad):
+        return x.reshape(n, c, oh, window, ow, window).mean(axis=(3, 5))
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
     out = np.zeros((n, c, oh, ow), dtype=x.dtype)
@@ -193,6 +228,9 @@ def avgpool_backward(
     n, c, h, w = x_shape
     _, _, oh, ow = grad_out.shape
     share = grad_out / (window * window)
+    if _pool_tiles(h, w, window, stride, pad):
+        tiled = np.broadcast_to(share[:, :, :, None, :, None], (n, c, oh, window, ow, window))
+        return tiled.reshape(x_shape)
     gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
     for u in range(window):
         for v in range(window):

@@ -25,6 +25,28 @@ def naive_conv2d(x, w, b, stride, pad):
     return out
 
 
+def loop_avgpool(x, window):
+    """Non-overlapping average pool as a sum of one strided slice per offset."""
+    n, c, h, w = x.shape
+    oh, ow = h // window, w // window
+    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+    for u in range(window):
+        for v in range(window):
+            out += x[:, :, u : u + window * oh : window, v : v + window * ow : window]
+    return out / (window * window)
+
+
+def loop_avgpool_backward(grad_out, x_shape, window):
+    _, _, oh, ow = grad_out.shape
+    gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    for u in range(window):
+        for v in range(window):
+            gx[:, :, u : u + window * oh : window, v : v + window * ow : window] += (
+                grad_out / (window * window)
+            )
+    return gx
+
+
 def rel_close(analytic, numeric, tol=1e-6, zero_floor=1e-7):
     """Relative agreement with an absolute guard for true-zero gradients."""
     analytic = np.asarray(analytic, dtype=np.float64)
@@ -118,17 +140,56 @@ class TestConvBackward:
 
         out = ops.conv2d_forward(x, w, b, stride, pad)
         gx, gw, gb = ops.conv2d_backward(x, w, proj.copy(), stride, pad)
-        assert rel_close(gx, numeric_grad(loss, x))
-        assert rel_close(gw, numeric_grad(loss, w))
-        assert rel_close(gb, numeric_grad(loss, b))
+        # conv is linear in x, w and b, so a central difference has no
+        # truncation error and a larger step only shrinks its roundoff.
+        assert rel_close(gx, numeric_grad(loss, x, h=1e-4))
+        assert rel_close(gw, numeric_grad(loss, w, h=1e-4))
+        assert rel_close(gb, numeric_grad(loss, b, h=1e-4))
 
     def test_im2col_col2im_are_adjoint(self):
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3, 6, 6))
-        cols, oh, ow = ops.im2col(x, 3, 2, 1)
-        g = rng.normal(size=cols.shape)
-        back = ops.col2im(g, x.shape, 3, 2, 1, oh, ow)
-        assert np.isclose((cols * g).sum(), (x * back).sum(), atol=1e-10)
+        for kernel, stride, pad in ((3, 2, 1), (3, 1, 0)):
+            cols, oh, ow = ops.im2col(x, kernel, stride, pad)
+            g = rng.normal(size=cols.shape)
+            back = ops.col2im(g, x.shape, kernel, stride, pad, oh, ow)
+            assert np.isclose((cols * g).sum(), (x * back).sum(), atol=1e-10)
+
+    def test_im2col_columns_are_u_v_c(self):
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(2, 3, 5, 5))
+        cols, oh, ow = ops.im2col(x, 3, 2, 0)
+        patches = cols.reshape(2, oh, ow, 3, 3, 3)
+        for u in range(3):
+            for v in range(3):
+                assert np.array_equal(
+                    patches[:, :, :, u, v, :],
+                    x[:, :, u : u + 2 * oh : 2, v : v + 2 * ow : 2].transpose(0, 2, 3, 1),
+                )
+
+    @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
+    def test_channels_last_strided_input_gives_same_result(self, stride, pad):
+        rng = np.random.default_rng(19)
+        x = rng.normal(size=(2, 3, 6, 6))
+        w = rng.normal(size=(4, 3, 3, 3))
+        b = rng.normal(size=4)
+        x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert not x_cl.flags.c_contiguous
+        out, cols = ops.conv2d_forward(x, w, b, stride, pad, return_cols=True)
+        out_cl = ops.conv2d_forward(x_cl, w, b, stride, pad)
+        assert np.array_equal(out, out_cl)
+        g = rng.normal(size=out.shape)
+        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        expect = ops.conv2d_backward(x, w, g, stride, pad)
+        for got in (
+            ops.conv2d_backward(x_cl, w, g_cl, stride, pad),
+            ops.conv2d_backward(x.shape, w, g_cl, stride, pad, cols=cols),
+        ):
+            for e, a in zip(expect, got):
+                assert np.array_equal(e, a)
+        gx, gw, gb = ops.conv2d_backward(x.shape, w, g, stride, pad, cols=cols, input_grad=False)
+        assert gx is None
+        assert np.array_equal(gw, expect[1]) and np.array_equal(gb, expect[2])
 
 
 class TestBatchNorm:
@@ -256,6 +317,25 @@ class TestSmallOps:
 
         gx = ops.avgpool_backward(proj, x.shape, 3, 2, 1)
         assert rel_close(gx, numeric_grad(loss, x))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape,window",
+        [((2, 3, 8, 8), 8), ((2, 3, 8, 8), 4), ((2, 3, 9, 9), 4)],
+        ids=["global", "2x2-out", "not-divisible"],
+    )
+    def test_avgpool_tiling_matches_offset_loop(self, shape, window, dtype):
+        rng = np.random.default_rng(20)
+        x = rng.normal(size=shape).astype(dtype)
+        out = ops.avgpool(x, window)
+        expect = loop_avgpool(x, window)
+        assert out.dtype == dtype and out.shape == expect.shape
+        tol = 1e-6 if dtype == np.float32 else 1e-13
+        assert np.allclose(out, expect, rtol=tol, atol=tol)
+        g = rng.normal(size=out.shape).astype(dtype)
+        back = ops.avgpool_backward(g, x.shape, window)
+        assert back.dtype == dtype
+        assert np.array_equal(back, loop_avgpool_backward(g, x.shape, window))
 
     def test_fc_forward_backward(self):
         rng = np.random.default_rng(15)
