@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
-from .micronet.checkpoint import load_checkpoint, save_checkpoint
-from .micronet.model import ConfigError, HybridConfig, HybridModel
+from .micronet.checkpoint import load_checkpoint
+from .micronet.model import ConfigError, HybridModel, scaled_config
 from .propositions import (
     average_ratio_histograms,
     energy_audit,
@@ -41,6 +41,7 @@ from .trainer import (
     TrainConfig,
     ensemble_vote,
     evaluate,
+    predict,
     train,
 )
 
@@ -140,18 +141,14 @@ def cmd_train(args) -> int:
     input_size = train_split.covers.shape[1]
     specs = parse_qt_specs(args.qt)
 
-    base = (16, 64, 512) if args.subnet == "type1" else (16, 32, 128)
-    widths = tuple(max(1, round(w * args.width_scale)) for w in base)
-    head = tuple(max(2, round(w * args.width_scale)) for w in (800, 400, 200))
-    model_cfg = HybridConfig(
-        variant=args.subnet,
+    model_cfg = scaled_config(
+        args.subnet,
+        args.width_scale,
+        args.first_stride,
         kernel_size=args.kernels,
         qt_labels=tuple(s.label() for s in specs),
         input_size=input_size,
-        widths=widths,
-        head_widths=head,
         use_bn=not args.no_bn,
-        first_stride=args.first_stride if args.subnet == "type1" else 1,
     )
     model = HybridModel(model_cfg, seed=args.seed)
     front = FrontEnd(dct_basis(args.kernels), specs)
@@ -229,12 +226,7 @@ def cmd_ensemble(args) -> int:
     for ck in args.checkpoints:
         model, _ = load_checkpoint(ck)
         front = _front_for(model.config.kernel_size, model.config.qt_labels)
-        preds = np.concatenate(
-            [
-                model.predict(front.transform(planes[start : start + args.batch_size]))
-                for start in range(0, len(planes), args.batch_size)
-            ]
-        )
+        preds = predict(model, front, planes, args.batch_size)
         votes.append(preds)
         singles.append(float((preds == labels).mean()))
     voted = ensemble_vote(np.stack(votes))
@@ -357,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train/test split seed (default: --seed)")
     p.add_argument("--out", type=Path, required=True)
     add_config_flag(p)
-    p.set_defaults(func=cmd_make_dataset, _parser=p)
+    p.set_defaults(func=cmd_make_dataset)
 
     p = sub.add_parser("train", help="train a hybrid model")
     p.add_argument("--data", type=Path, required=True, help="manifest.jsonl path")
@@ -382,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stop-accuracy", type=float, default=None,
                    help="stop once test accuracy reaches this value")
     add_config_flag(p)
-    p.set_defaults(func=cmd_train, _parser=p)
+    p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a split")
     p.add_argument("--checkpoint", type=Path, required=True)
@@ -390,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--batch-size", type=int, default=64)
     add_config_flag(p)
-    p.set_defaults(func=cmd_eval, _parser=p)
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("ensemble", help="majority-vote several checkpoints")
     p.add_argument("--checkpoints", type=Path, nargs="+", required=True)
@@ -398,7 +390,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", choices=("train", "test"), default="test")
     p.add_argument("--batch-size", type=int, default=64)
     add_config_flag(p)
-    p.set_defaults(func=cmd_ensemble, _parser=p)
+    p.set_defaults(func=cmd_ensemble)
 
     p = sub.add_parser("verify-prop1", help="cover-vs-noise magnitude diagnostics")
     p.add_argument("--data", type=Path, required=True)
@@ -409,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", type=Path, default=None,
                    help="write the averaged histogram as two-column text")
     add_config_flag(p)
-    p.set_defaults(func=cmd_verify_prop1, _parser=p)
+    p.set_defaults(func=cmd_verify_prop1)
 
     p = sub.add_parser("verify-prop2", help="quantize-truncate gradient-nullity scan")
     p.add_argument("--qt", default="4:1,4:2,4:4")
@@ -420,31 +412,58 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--plot", type=Path, default=None,
                    help="write the staircase samples as two-column text")
     add_config_flag(p)
-    p.set_defaults(func=cmd_verify_prop2, _parser=p)
+    p.set_defaults(func=cmd_verify_prop2)
 
     return parser
 
 
+def _install_config_defaults(parser, argv) -> int | None:
+    """Make the subcommand's --config file its flag defaults before argv is
+    parsed, so that the file can also supply required flags.
+
+    Returns an exit code when the file cannot be used, else None.
+    """
+    (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    subparser = subparsers.choices.get(argv[0]) if argv else None
+    if subparser is None:
+        return None  # the full parse reports the missing or unknown subcommand
+    pre = argparse.ArgumentParser(prog=subparser.prog, add_help=False)
+    pre.add_argument("--config", type=Path, default=None)
+    path = pre.parse_known_args(argv[1:])[0].config
+    if path is None:
+        return None
+    try:
+        overrides = json.loads(path.read_text())
+    except OSError as exc:
+        print(f"stegokit: cannot read config: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except json.JSONDecodeError as exc:
+        print(f"stegokit: bad config JSON: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    if not isinstance(overrides, dict):
+        print(f"stegokit: config {path} must hold a JSON object", file=sys.stderr)
+        return EXIT_USAGE
+    unknown = set(overrides) - {a.dest for a in subparser._actions}
+    if unknown:
+        print(f"stegokit: unknown config keys: {sorted(unknown)}", file=sys.stderr)
+        return EXIT_USAGE
+    subparser.set_defaults(**overrides)
+    for action in subparser._actions:
+        if action.dest in overrides:
+            action.required = False
+    for group in subparser._mutually_exclusive_groups:
+        if any(a.dest in overrides for a in group._group_actions):
+            group.required = False
+    return None
+
+
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
+    code = _install_config_defaults(parser, argv)
+    if code is not None:
+        return code
     args = parser.parse_args(argv)
-    if getattr(args, "config", None):
-        try:
-            overrides = json.loads(Path(args.config).read_text())
-        except OSError as exc:
-            print(f"stegokit: cannot read config: {exc}", file=sys.stderr)
-            return EXIT_IO
-        except json.JSONDecodeError as exc:
-            print(f"stegokit: bad config JSON: {exc}", file=sys.stderr)
-            return EXIT_USAGE
-        subparser = args._parser
-        valid = {a.dest for a in subparser._actions}
-        unknown = set(overrides) - valid
-        if unknown:
-            print(f"stegokit: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
-        subparser.set_defaults(**overrides)
-        args = parser.parse_args(argv)
     try:
         return args.func(args)
     except DatasetIntegrityError as exc:

@@ -3,22 +3,18 @@
 from .model import (
     HybridConfig,
     HybridModel,
-    SubnetConfig,
     build_hybrid_model,
     build_subnet,
-    default_subnet_config,
-    hybrid_forward,
+    scaled_config,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
     "HybridConfig",
     "HybridModel",
-    "SubnetConfig",
     "build_hybrid_model",
     "build_subnet",
-    "default_subnet_config",
-    "hybrid_forward",
     "load_checkpoint",
     "save_checkpoint",
+    "scaled_config",
 ]

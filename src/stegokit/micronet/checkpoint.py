@@ -13,6 +13,7 @@ from .model import HybridConfig, HybridModel
 
 MAGIC = b"SKPT"
 FORMAT_VERSION = 1
+HEADER_KEYS = ("format", "arch", "iteration", "seed", "qt_order", "layers")
 
 
 def _entries(model: HybridModel):
@@ -49,28 +50,58 @@ def save_checkpoint(model: HybridModel, path, iteration: int = 0) -> None:
 def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
     """Rebuild the model skeleton from the header and fill in its arrays.
 
-    Returns (model, header); the model comes back in eval mode.
+    Returns (model, header); the model comes back in eval mode. The header
+    must hold every key and architecture field, its records must name the
+    model's arrays in model order with their shapes, and the blobs must end
+    exactly at the end of the file; any other file raises
+    ValueError("<path>: <field>: ...").
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
-        raise ValueError(f"{path}: not a checkpoint file")
-    (length,) = struct.unpack_from("<I", data, 4)
-    header = json.loads(data[8 : 8 + length].decode("utf-8"))
+        raise ValueError(f"{path}: magic: not a checkpoint file")
+    length = struct.unpack_from("<I", data, 4)[0] if len(data) >= 8 else None
+    if length is None or 8 + length > len(data):
+        raise ValueError(f"{path}: header: truncated")
+    try:
+        header = json.loads(data[8 : 8 + length].decode("utf-8"))
+    except ValueError as exc:
+        raise ValueError(f"{path}: header: not JSON ({exc})") from None
+    missing = [key for key in HEADER_KEYS if not isinstance(header, dict) or key not in header]
+    if missing:
+        raise ValueError(f"{path}: header: missing keys {missing}")
     if header["format"] != FORMAT_VERSION:
-        raise ValueError(f"{path}: unsupported checkpoint format {header['format']}")
-    config = HybridConfig.from_json_dict(header["arch"])
-    model = HybridModel(config, seed=header["seed"], dtype=dtype)
+        raise ValueError(f"{path}: format: unsupported checkpoint format {header['format']}")
+    try:
+        model = HybridModel(HybridConfig.from_json_dict(header["arch"]), header["seed"], dtype)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: arch: {exc}") from None
+
+    entries = list(_entries(model))
+    records = header["layers"]
+    if not isinstance(records, list):
+        raise ValueError(f"{path}: layers: not a list")
+    found = [r.get("name") if isinstance(r, dict) else None for r in records]
+    expected = [name for name, _, _ in entries]
+    if found != expected:
+        pairs = zip(found, expected)
+        i = next((i for i, (a, b) in enumerate(pairs) if a != b), min(len(found), len(expected)))
+        got = repr(found[i]) if i < len(found) else "missing"
+        want = repr(expected[i]) if i < len(expected) else "no record"
+        raise ValueError(f"{path}: layers: record {i} is {got}, the model expects {want}")
     offset = 8 + length
-    by_name = {name: (layer, attr) for name, layer, attr in _entries(model)}
-    for record in header["layers"]:
-        layer, attr = by_name[record["name"]]
-        shape = tuple(record["shape"])
-        if getattr(layer, attr).shape != shape:
-            raise ValueError(f"{path}: shape mismatch for {record['name']}")
-        count = int(np.prod(shape)) if shape else 1
+    for (name, layer, attr), record in zip(entries, records):
+        shape = getattr(layer, attr).shape
+        if record.get("shape") != list(shape):
+            raise ValueError(
+                f"{path}: layers: {name} has shape {record.get('shape')}, "
+                f"the model expects {list(shape)}"
+            )
+        count = int(np.prod(shape))
+        if offset + 4 * count > len(data):
+            raise ValueError(f"{path}: layers: blob of {name} is truncated")
         values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
-        if values.size != count:
-            raise ValueError(f"{path}: truncated blob for {record['name']}")
         offset += 4 * count
         setattr(layer, attr, values.reshape(shape).astype(dtype))
+    if offset != len(data):
+        raise ValueError(f"{path}: layers: {len(data) - offset} bytes after the last blob")
     return model.eval_mode(), header

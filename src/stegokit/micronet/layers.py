@@ -21,12 +21,6 @@ class Layer:
         """Non-trainable arrays that still belong in a checkpoint."""
         return ()
 
-    def params(self):
-        return {name: getattr(self, name) for name in self.param_names()}
-
-    def grads(self):
-        return {name: getattr(self, "g" + name) for name in self.param_names()}
-
     def out_shape(self, in_shape):
         return in_shape
 
@@ -127,12 +121,16 @@ class BatchNorm2d(Layer):
 
 
 class ReLU(Layer):
+    # Backward needs x only through x > 0, so training caches that 1-byte mask
+    # instead of x.
     def forward(self, x, training=False):
-        self._mask = x > 0
-        return x * self._mask
+        self._mask = x > 0 if training else None
+        return ops.relu(x)
 
     def backward(self, grad_out):
-        return grad_out * self._mask
+        grad_x = ops.relu_backward(self._mask, grad_out)
+        self._mask = None
+        return grad_x
 
 
 class AvgPool2d(Layer):

@@ -8,7 +8,7 @@ with progressive average pools.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -16,45 +16,75 @@ from . import ops
 from .layers import AvgPool2d, BatchNorm2d, Conv2d, Dense, Flatten, ReLU, Sequential
 
 HEAD_WIDTHS = (800, 400, 200)
+#: Conv widths of each subnet variant at width scale 1.
+BASE_WIDTHS = {"type1": (16, 64, 512), "type2": (16, 32, 128)}
 N_CLASSES = 2
 
 
 class ConfigError(ValueError):
-    """Layer stack cannot realize the requested feature geometry."""
+    """Model configuration is malformed or its layer stack cannot be realized."""
 
 
 @dataclass(frozen=True)
-class SubnetConfig:
-    variant: str  # "type1" | "type2"
-    in_channels: int
-    widths: tuple
-    first_stride: int = 2
+class HybridConfig:
+    """Everything needed to rebuild a model skeleton from a checkpoint."""
+
+    variant: str = "type1"
+    kernel_size: int = 5
+    qt_labels: tuple = ("4:1", "4:2", "4:4")
+    input_size: int = 256
+    widths: tuple = BASE_WIDTHS["type1"]
+    head_widths: tuple = HEAD_WIDTHS
     use_bn: bool = True
-    feature_len: int = 512
+    first_stride: int = 2
 
     def __post_init__(self):
-        if self.variant not in ("type1", "type2"):
+        if self.variant not in BASE_WIDTHS:
             raise ConfigError(f"unknown subnet variant {self.variant!r}")
         if len(self.widths) != 3:
             raise ConfigError("exactly three conv widths required")
 
+    @property
+    def n_groups(self) -> int:
+        return len(self.qt_labels)
 
-def default_subnet_config(
-    variant: str, in_channels: int, width_scale: float = 1.0, use_bn: bool = True,
-    first_stride: int | None = None,
-) -> SubnetConfig:
-    base = (16, 64, 512) if variant == "type1" else (16, 32, 128)
-    widths = tuple(max(1, round(w * width_scale)) for w in base)
-    feature = widths[2] if variant == "type1" else 4 * widths[2]
-    if first_stride is None:
-        first_stride = 2 if variant == "type1" else 1
-    return SubnetConfig(
+    def to_json_dict(self) -> dict:
+        return asdict(self)
+
+    @staticmethod
+    def from_json_dict(d: dict) -> "HybridConfig":
+        """Inverse of to_json_dict: every field is required and no other key
+        is accepted."""
+        names = [f.name for f in fields(HybridConfig)]
+        missing = [name for name in names if name not in d]
+        unknown = sorted(set(d) - set(names))
+        if missing:
+            raise ConfigError(f"missing fields {missing}")
+        if unknown:
+            raise ConfigError(f"unknown fields {unknown}")
+        d = dict(d)
+        for key in ("qt_labels", "widths", "head_widths"):
+            d[key] = tuple(d[key])
+        return HybridConfig(**d)
+
+
+def scaled_config(
+    variant: str = "type1", width_scale: float = 1.0, first_stride: int = 2, **other
+) -> HybridConfig:
+    """HybridConfig whose conv and head widths are the variant's base widths
+    times width_scale, rounded, with at least 1 channel per conv and 2 units
+    per head layer. type2's first conv always has stride 1.
+
+    ``other`` sets the remaining HybridConfig fields.
+    """
+    # An unknown variant gets no widths here; HybridConfig rejects it.
+    base = BASE_WIDTHS.get(variant, ())
+    return HybridConfig(
         variant=variant,
-        in_channels=in_channels,
-        widths=widths,
-        first_stride=first_stride,
-        use_bn=use_bn,
-        feature_len=feature,
+        widths=tuple(max(1, round(w * width_scale)) for w in base),
+        head_widths=tuple(max(2, round(w * width_scale)) for w in HEAD_WIDTHS),
+        first_stride=first_stride if variant == "type1" else 1,
+        **other,
     )
 
 
@@ -67,81 +97,34 @@ def _conv_block(name, in_ch, out_ch, kernel, stride, pad, use_bn, rng, dtype, in
     return layers
 
 
-def build_subnet(cfg: SubnetConfig, input_size: int, rng=None, dtype=np.float32) -> Sequential:
-    """Assemble one subnet; raises ConfigError unless the stack ends at
-    exactly cfg.feature_len features per image."""
+def build_subnet(config: HybridConfig, rng=None, dtype=np.float32) -> Sequential:
+    """Assemble one subnet for config's variant, widths and input size.
+
+    It ends in a flat feature vector: type1 pools to 1x1 (widths[2]
+    features), type2 to 2x2 (4 * widths[2]).
+    """
     rng = rng or np.random.default_rng(0)
-    c = cfg.in_channels
-    w1, w2, w3 = cfg.widths
-    layers = []
-    if cfg.variant == "type1":
-        layers += _conv_block(
-            "b1", c, w1, 5, cfg.first_stride, 2, cfg.use_bn, rng, dtype, input_grad=False
-        )
-        layers += _conv_block("b2", w1, w2, 3, 2, 1, cfg.use_bn, rng, dtype)
-        layers += _conv_block("b3", w2, w3, 1, 2, 0, cfg.use_bn, rng, dtype)
-        spatial = Sequential(layers).out_shape((1, c, input_size, input_size))[2]
+    c = config.kernel_size**2
+    in_shape = (1, c, config.input_size, config.input_size)
+    w1, w2, w3 = config.widths
+    bn = config.use_bn
+    layers = _conv_block("b1", c, w1, 5, config.first_stride, 2, bn, rng, dtype, input_grad=False)
+    if config.variant == "type1":
+        layers += _conv_block("b2", w1, w2, 3, 2, 1, bn, rng, dtype)
+        layers += _conv_block("b3", w2, w3, 1, 2, 0, bn, rng, dtype)
+        spatial = Sequential(layers).out_shape(in_shape)[2]
         layers.append(("pool", AvgPool2d(spatial)))
     else:
-        layers += _conv_block(
-            "b1", c, w1, 5, cfg.first_stride, 2, cfg.use_bn, rng, dtype, input_grad=False
-        )
         layers.append(("pool1", AvgPool2d(3, stride=2, pad=1)))
-        layers += _conv_block("b2", w1, w2, 3, 1, 1, cfg.use_bn, rng, dtype)
+        layers += _conv_block("b2", w1, w2, 3, 1, 1, bn, rng, dtype)
         layers.append(("pool2", AvgPool2d(3, stride=2, pad=1)))
-        layers += _conv_block("b3", w2, w3, 3, 2, 1, cfg.use_bn, rng, dtype)
-        spatial = Sequential(layers).out_shape((1, c, input_size, input_size))[2]
+        layers += _conv_block("b3", w2, w3, 3, 2, 1, bn, rng, dtype)
+        spatial = Sequential(layers).out_shape(in_shape)[2]
         if spatial % 2:
             raise ConfigError(f"type2 spatial size {spatial} not reducible to 2x2")
         layers.append(("pool3", AvgPool2d(spatial // 2)))
     layers.append(("flatten", Flatten()))
-    net = Sequential(layers)
-    features = net.out_shape((1, c, input_size, input_size))
-    if features != (1, cfg.feature_len):
-        raise ConfigError(
-            f"subnet yields {features[1]} features on {input_size}x{input_size} input, "
-            f"expected {cfg.feature_len}"
-        )
-    return net
-
-
-@dataclass(frozen=True)
-class HybridConfig:
-    """Everything needed to rebuild a model skeleton from a checkpoint."""
-
-    variant: str = "type1"
-    kernel_size: int = 5
-    qt_labels: tuple = ("4:1", "4:2", "4:4")
-    input_size: int = 256
-    widths: tuple = (16, 64, 512)
-    head_widths: tuple = HEAD_WIDTHS
-    use_bn: bool = True
-    first_stride: int = 2
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.qt_labels)
-
-    def subnet_config(self) -> SubnetConfig:
-        feature = self.widths[2] if self.variant == "type1" else 4 * self.widths[2]
-        return SubnetConfig(
-            variant=self.variant,
-            in_channels=self.kernel_size**2,
-            widths=tuple(self.widths),
-            first_stride=self.first_stride,
-            use_bn=self.use_bn,
-            feature_len=feature,
-        )
-
-    def to_json_dict(self) -> dict:
-        return asdict(self)
-
-    @staticmethod
-    def from_json_dict(d: dict) -> "HybridConfig":
-        d = dict(d)
-        for key in ("qt_labels", "widths", "head_widths"):
-            d[key] = tuple(d[key])
-        return HybridConfig(**d)
+    return Sequential(layers)
 
 
 class HybridModel:
@@ -156,14 +139,10 @@ class HybridModel:
         self.dtype = dtype
         self.training = True
         rng = np.random.default_rng([seed, 0])
-        sub_cfg = config.subnet_config()
-        self.subnets = [
-            build_subnet(sub_cfg, config.input_size, rng, dtype)
-            for _ in range(config.n_groups)
-        ]
-        self.feature_len = sub_cfg.feature_len
+        self.subnets = [build_subnet(config, rng, dtype) for _ in range(config.n_groups)]
+        in_shape = (1, config.kernel_size**2, config.input_size, config.input_size)
         head_layers = []
-        width_in = config.n_groups * self.feature_len
+        width_in = config.n_groups * self.subnets[0].out_shape(in_shape)[1]
         for i, width in enumerate(config.head_widths):
             head_layers.append((f"fc{i}", Dense(width_in, width, rng, dtype)))
             head_layers.append((f"relu{i}", ReLU()))
@@ -217,33 +196,6 @@ class HybridModel:
             for attr in layer.param_names():
                 yield f"{lname}.{attr}", layer, attr, attr in layer.decayed
 
-    def named_state(self):
-        for lname, layer in self.named_layers():
-            for attr in layer.state_names():
-                yield f"{lname}.{attr}", layer, attr
-
-    def param_count(self) -> int:
-        return sum(getattr(layer, attr).size for _, layer, attr, _ in self.named_params())
-
 
 def build_hybrid_model(config: HybridConfig, seed: int = 0, dtype=np.float32) -> HybridModel:
     return HybridModel(config, seed=seed, dtype=dtype)
-
-
-def hybrid_forward(stack, model: HybridModel) -> np.ndarray:
-    """Class probabilities for one ResidualStack (or a list of them).
-
-    Runs in eval mode; rows sum to 1.
-    """
-    stacks = stack if isinstance(stack, (list, tuple)) else [stack]
-    n_groups = len(stacks[0].groups)
-    if n_groups != len(model.subnets):
-        raise ValueError(f"model expects {len(model.subnets)} groups, stack has {n_groups}")
-    labels = tuple(s.label() for s in stacks[0].specs)
-    if labels != tuple(model.config.qt_labels):
-        raise ValueError(f"Q&T order {labels} does not match model {model.config.qt_labels}")
-    groups = [
-        np.stack([s.groups[g] for s in stacks]).astype(model.dtype)
-        for g in range(n_groups)
-    ]
-    return model.predict_proba(groups)

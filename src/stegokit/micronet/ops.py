@@ -195,6 +195,8 @@ def relu(x: np.ndarray) -> np.ndarray:
 
 
 def relu_backward(x: np.ndarray, grad_out: np.ndarray) -> np.ndarray:
+    """grad_out where x > 0, else 0. Reads x only through x > 0, so the
+    boolean mask x > 0 may be passed in place of x."""
     return grad_out * (x > 0)
 
 

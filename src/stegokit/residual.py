@@ -1,13 +1,11 @@
 """Hand-crafted residual front end: DCT kernel banks, image-to-residual
-convolution, and the quantize-and-truncate maps. Nothing here is trainable."""
+convolution, and the quantize-and-truncate map. Nothing here is trainable."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-from .codec import ImagePlane
 
 SUPPORTED_KERNEL_SIZES = (3, 5, 8)
 
@@ -116,63 +114,25 @@ def convolve_batch(planes: np.ndarray, bank: KernelBank) -> np.ndarray:
     return out
 
 
-def convolve_residuals(plane: ImagePlane, bank: KernelBank) -> np.ndarray:
-    """All k*k residual maps of one plane: (k*k, H, W), same dimensions as input."""
-    return convolve_batch(plane.values[None], bank)[0]
-
-
 def quantize_truncate(values: np.ndarray, spec: QtSpec) -> np.ndarray:
     """Element-wise round(z / q) clipped to [-T, T].
 
-    Rounding is half-away-from-zero, preserving the map's odd symmetry.
+    Computes and returns in the input's float dtype (float64 for non-float
+    input). Rounding is half-away-from-zero, preserving the map's odd
+    symmetry.
     """
-    z = np.asarray(values, dtype=np.float64)
-    rounded = np.sign(z) * np.floor(np.abs(z) / spec.q + 0.5)
-    return np.clip(rounded, -spec.T, spec.T).astype(np.int8)
-
-
-@dataclass(frozen=True)
-class ResidualStack:
-    """Quantized residual groups, one per QtSpec, each (k*k, H, W) in [-T, T]."""
-
-    specs: tuple
-    groups: tuple  # of int8 arrays, ordered like specs
-    labels: tuple  # (k, l) order shared by every group
-
-    def __post_init__(self):
-        if len(self.specs) != len(self.groups):
-            raise ValueError("one residual group per QtSpec required")
-        for spec, group in zip(self.specs, self.groups):
-            if np.abs(group).max(initial=0) > spec.T:
-                raise ValueError(f"group entries exceed threshold {spec.T}")
-
-
-def front_stage(plane: ImagePlane, bank: KernelBank, specs) -> ResidualStack:
-    """Convolve once, then quantize/truncate per spec (spec-major ordering)."""
-    specs = tuple(specs)
-    if not specs:
-        raise ValueError("at least one QtSpec required")
-    residuals = convolve_residuals(plane, bank)
-    groups = tuple(quantize_truncate(residuals, spec) for spec in specs)
-    return ResidualStack(specs=specs, groups=groups, labels=bank.labels)
-
-
-def _quantize_truncate_inplace(residuals: np.ndarray, spec: QtSpec) -> np.ndarray:
-    """Fused copy of the Q&T map staying in the residuals' own float dtype.
-
-    Same half-away-from-zero staircase as quantize_truncate; saves the f64
-    round trip on the training path.
-    """
-    dt = residuals.dtype
-    out = residuals * dt.type(1.0 / spec.q)
-    np.add(out, np.copysign(dt.type(0.5), out), out=out)
+    z = np.asarray(values)
+    if z.dtype.kind != "f":
+        z = z.astype(np.float64)
+    out = np.divide(z, z.dtype.type(spec.q), out=np.empty_like(z))
+    np.add(out, np.copysign(out.dtype.type(0.5), out), out=out)
     np.trunc(out, out=out)
     np.clip(out, -spec.T, spec.T, out=out)
     return out
 
 
 def front_stage_batch(planes: np.ndarray, bank: KernelBank, specs, dtype=np.float32) -> list:
-    """Batched front stage for the training loop.
+    """Convolve once, then quantize/truncate per spec (spec-major ordering).
 
     planes: (n, H, W); returns one (n, k*k, H, W) array per spec in ``dtype``,
     ready to feed the learnable stage.
@@ -181,47 +141,7 @@ def front_stage_batch(planes: np.ndarray, bank: KernelBank, specs, dtype=np.floa
     if not specs:
         raise ValueError("at least one QtSpec required")
     residuals = convolve_batch(np.asarray(planes, dtype=dtype), bank)
-    return [_quantize_truncate_inplace(residuals, spec) for spec in specs]
-
-
-def save_residual_stack(stack: ResidualStack, out_dir) -> None:
-    """Debug dump: one FPL1 plane per map plus a JSON sidecar giving the
-    (spec, k, l) order. The pipeline itself streams stacks in memory."""
-    import json
-    from pathlib import Path
-
-    from .containers import write_fpl
-
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    order = []
-    for gi, (spec, group) in enumerate(zip(stack.specs, stack.groups)):
-        for mi, (k, l) in enumerate(stack.labels):
-            name = f"g{gi}_k{k}l{l}.fpl"
-            write_fpl(out_dir / name, group[mi].astype(np.float64))
-            order.append({"file": name, "spec": spec.label(), "k": k, "l": l})
-    sidecar = {"specs": [s.label() for s in stack.specs], "maps": order}
-    (out_dir / "residuals.json").write_text(json.dumps(sidecar, indent=2, sort_keys=True))
-
-
-def load_residual_stack(in_dir) -> ResidualStack:
-    """Inverse of save_residual_stack."""
-    import json
-    from pathlib import Path
-
-    from .containers import read_fpl
-
-    in_dir = Path(in_dir)
-    sidecar = json.loads((in_dir / "residuals.json").read_text())
-    specs = parse_qt_specs(",".join(sidecar["specs"]))
-    by_spec: dict = {label: [] for label in sidecar["specs"]}
-    labels = []
-    for rec in sidecar["maps"]:
-        by_spec[rec["spec"]].append(read_fpl(in_dir / rec["file"]).astype(np.int8))
-        if rec["spec"] == sidecar["specs"][0]:
-            labels.append((rec["k"], rec["l"]))
-    groups = tuple(np.stack(by_spec[label]) for label in sidecar["specs"])
-    return ResidualStack(specs=specs, groups=groups, labels=tuple(labels))
+    return [quantize_truncate(residuals, spec) for spec in specs]
 
 
 def parse_qt_specs(text: str):

@@ -127,20 +127,33 @@ class FrontEnd:
         return front_stage_batch(planes, self.bank, self.specs, self.dtype)
 
 
+def _check_front_end(model: HybridModel, front: FrontEnd) -> None:
+    """Raise ValueError unless front yields the groups model was built for, in order."""
+    found = (front.bank.size, tuple(spec.label() for spec in front.specs))
+    expected = (model.config.kernel_size, tuple(model.config.qt_labels))
+    if found != expected:
+        raise ValueError(
+            f"front end (bank size, Q&T order) {found} does not match the model's {expected}"
+        )
+
+
+def predict(model: HybridModel, front: FrontEnd, planes: np.ndarray, batch_size: int = 64):
+    """Predicted label (0 cover, 1 stego) of each plane, batch_size at a time."""
+    _check_front_end(model, front)
+    return np.concatenate([
+        model.predict(front.transform(planes[start : start + batch_size]))
+        for start in range(0, len(planes), batch_size)
+    ])
+
+
 def evaluate(
     model: HybridModel, front: FrontEnd, split: PairSplit, batch_size: int = 64
 ) -> tuple[float, float, float]:
     """(accuracy, cover accuracy, stego accuracy) over all covers and stegos."""
-    correct = {0: 0, 1: 0}
-    for label, planes in ((0, split.covers), (1, split.stegos)):
-        for start in range(0, len(planes), batch_size):
-            groups = front.transform(planes[start : start + batch_size])
-            pred = model.predict(groups)
-            correct[label] += int((pred == label).sum())
+    covers_right = int((predict(model, front, split.covers, batch_size) == 0).sum())
+    stegos_right = int((predict(model, front, split.stegos, batch_size) == 1).sum())
     n = len(split)
-    cover_acc = correct[0] / n
-    stego_acc = correct[1] / n
-    return (correct[0] + correct[1]) / (2 * n), cover_acc, stego_acc
+    return (covers_right + stegos_right) / (2 * n), covers_right / n, stegos_right / n
 
 
 def _batch_iterator(n_pairs: int, half_batch: int, rng):
@@ -170,6 +183,7 @@ def train(
     final iteration); training stops early once test accuracy reaches
     stop_accuracy, when given. Returns the metrics list.
     """
+    _check_front_end(model, front)
     if cfg.batch_size // 2 > len(train_split):
         raise ValueError(
             f"batch of {cfg.batch_size} needs {cfg.batch_size // 2} pairs, "

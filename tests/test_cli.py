@@ -149,6 +149,24 @@ class TestTrain:
         assert report["config"]["max_iter"] == 4
         assert report["config"]["batch_size"] == 4
 
+    def test_config_file_supplies_required_flags(self, dataset_dir, tmp_path, capsys):
+        cfg = {"data": str(dataset_dir / "manifest.jsonl"), "out": str(tmp_path / "o"),
+               "width_scale": 0.125, "batch_size": 4, "max_iter": 2, "eval_every": 2}
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        code, out, _ = run(["train", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["data"] == cfg["data"]
+        assert (tmp_path / "o" / "model.ckpt").exists()
+
+        # a required group (make-dataset's --covers | --synthetic) counts too
+        cfg_path.write_text(json.dumps(
+            {"synthetic": 4, "size": 16, "out": str(tmp_path / "d")}
+        ))
+        code, out, _ = run(["make-dataset", "--config", str(cfg_path)], capsys)
+        assert code == 0
+        assert json.loads(out)["train_pairs"] == 2
+
     def test_unknown_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"nonsense": 1}))
@@ -204,6 +222,54 @@ class TestEvalAndEnsemble:
         )
         assert code == 2
         assert "odd" in err
+
+
+def _edit_header(data: bytes, edit) -> bytes:
+    """Checkpoint bytes with edit(header) applied to the JSON header."""
+    length = int.from_bytes(data[4:8], "little")
+    header = json.loads(data[8 : 8 + length])
+    edit(header)
+    blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    return data[:4] + len(blob).to_bytes(4, "little") + blob + data[8 + length :]
+
+
+def _drop_last_record(data: bytes) -> bytes:
+    """A consistent-looking file whose header lacks the last record."""
+    length = int.from_bytes(data[4:8], "little")
+    last = json.loads(data[8 : 8 + length])["layers"][-1]
+    size = 4 * int(np.prod(last["shape"]))
+    return _edit_header(data[:-size], lambda h: h["layers"].pop())
+
+
+def _rename_record(header):
+    header["layers"][0]["name"] = "g0.b1.conv.x"
+
+
+CORRUPTIONS = {
+    "truncated": lambda d: d[:-4],
+    "over-long": lambda d: d + b"\0\0\0\0",
+    "missing-record": _drop_last_record,
+    "unknown-record": lambda d: _edit_header(d, _rename_record),
+    "unknown-arch-key": lambda d: _edit_header(d, lambda h: h["arch"].update(dropout=0.5)),
+    "missing-arch-field": lambda d: _edit_header(d, lambda h: h["arch"].pop("widths")),
+    "missing-header-key": lambda d: _edit_header(d, lambda h: h.pop("seed")),
+    "bad-magic": lambda d: b"JUNK" + d[4:],
+}
+
+
+class TestCorruptCheckpoint:
+    @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+    def test_eval_exits_2_naming_the_file(
+        self, corruption, dataset_dir, trained_dir, tmp_path, capsys
+    ):
+        bad = tmp_path / f"{corruption}.ckpt"
+        bad.write_bytes(CORRUPTIONS[corruption]((trained_dir / "model.ckpt").read_bytes()))
+        code, _, err = run(
+            ["eval", "--checkpoint", str(bad), "--data", str(dataset_dir / "manifest.jsonl")],
+            capsys,
+        )
+        assert code == 2
+        assert str(bad) in err
 
 
 class TestVerifyProp1:

@@ -1,78 +1,72 @@
 import numpy as np
 import pytest
 
-from stegokit.codec import ImagePlane
 from stegokit.micronet import (
     HybridConfig,
-    HybridModel,
     build_hybrid_model,
     build_subnet,
-    default_subnet_config,
-    hybrid_forward,
     load_checkpoint,
     save_checkpoint,
+    scaled_config,
 )
 from stegokit.micronet.model import ConfigError
 from stegokit.micronet import ops
-from stegokit.residual import DEFAULT_QT_SPECS, dct_basis, front_stage
+from stegokit.residual import DEFAULT_QT_SPECS, dct_basis, front_stage_batch
 
 
 class TestSubnetShapes:
     @pytest.mark.parametrize("size", [256, 64])
     def test_type1_ends_at_512(self, size):
-        cfg = default_subnet_config("type1", 25)
-        net = build_subnet(cfg, size)
+        net = build_subnet(scaled_config("type1", input_size=size))
         assert net.out_shape((1, 25, size, size)) == (1, 512)
 
     def test_type1_desk_scale_quarter_widths(self):
-        cfg = default_subnet_config("type1", 25, width_scale=0.25)
-        net = build_subnet(cfg, 16)
+        net = build_subnet(scaled_config("type1", 0.25, input_size=16))
         assert net.out_shape((1, 25, 16, 16)) == (1, 128)
 
     @pytest.mark.parametrize("size", [256, 64])
     def test_type2_ends_at_512(self, size):
-        cfg = default_subnet_config("type2", 25)
-        net = build_subnet(cfg, size)
+        cfg = scaled_config("type2", input_size=size)
+        assert cfg.widths == (16, 32, 128) and cfg.first_stride == 1
+        net = build_subnet(cfg)
         assert net.out_shape((1, 25, size, size)) == (1, 512)
 
     def test_type1_doubled_stride_supports_512px(self):
-        cfg = default_subnet_config("type1", 25, first_stride=4)
-        net = build_subnet(cfg, 512)
+        net = build_subnet(scaled_config("type1", first_stride=4, input_size=512))
         assert net.out_shape((1, 25, 512, 512)) == (1, 512)
 
     def test_type2_progressive_pool_count(self):
-        cfg = default_subnet_config("type2", 25)
-        net = build_subnet(cfg, 256)
+        net = build_subnet(scaled_config("type2", input_size=256))
         pools = [name for name, _ in net.named_layers if name.startswith("pool")]
         assert pools == ["pool1", "pool2", "pool3"]
 
     def test_bn_layers_present_by_default_and_removable(self):
-        net = build_subnet(default_subnet_config("type1", 25), 64)
+        net = build_subnet(scaled_config("type1", input_size=64))
         assert any(name.endswith(".bn") for name, _ in net.named_layers)
-        net = build_subnet(default_subnet_config("type1", 25, use_bn=False), 64)
+        net = build_subnet(scaled_config("type1", input_size=64, use_bn=False))
         assert not any(name.endswith(".bn") for name, _ in net.named_layers)
 
-    def test_bad_feature_length_rejected(self):
-        cfg = default_subnet_config("type1", 25)
-        bad = type(cfg)(
-            variant=cfg.variant,
-            in_channels=25,
-            widths=(16, 64, 500),  # cannot reach 512
-            first_stride=2,
-            use_bn=True,
-            feature_len=512,
-        )
-        with pytest.raises(ConfigError):
-            build_subnet(bad, 64)
-
     def test_type2_odd_spatial_rejected(self):
-        cfg = default_subnet_config("type2", 25)
         with pytest.raises((ConfigError, ValueError)):
-            build_subnet(cfg, 24)  # 24 -> 12 -> 6 -> 3, not reducible to 2x2
+            build_subnet(scaled_config("type2", input_size=24))  # 24 -> 12 -> 6 -> 3, not 2x2
 
     def test_unknown_variant_rejected(self):
         with pytest.raises(ConfigError):
-            default_subnet_config("type3", 25)
+            scaled_config("type3")
+        with pytest.raises(ConfigError):
+            HybridConfig(variant="type3")
+        with pytest.raises(ConfigError):
+            HybridConfig(widths=(16, 64))
+
+    def test_width_scale_rounds_with_floors(self):
+        cfg = scaled_config("type1", 0.125)
+        assert cfg.widths == (2, 8, 64)
+        assert cfg.head_widths == (100, 50, 25)
+        cfg = scaled_config("type2", 0.01, first_stride=4)
+        assert cfg.widths == (1, 1, 1)
+        assert cfg.head_widths == (8, 4, 2)
+        assert cfg.first_stride == 1
+        assert scaled_config("type1", 0.001).head_widths == (2, 2, 2)
 
 
 def tiny_config(qt_labels=("4:1", "4:2", "4:4")):
@@ -136,30 +130,23 @@ class TestHybridModel:
 class TestHybridForward:
     def test_on_residual_stack(self):
         rng = np.random.default_rng(3)
-        plane = ImagePlane(rng.uniform(0, 255, (16, 16)))
-        stack = front_stage(plane, dct_basis(5), DEFAULT_QT_SPECS)
+        planes = rng.uniform(0, 255, (1, 16, 16))
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
         model = build_hybrid_model(tiny_config(), seed=0)
-        probs = hybrid_forward(stack, model)
+        probs = model.predict_proba(groups)
         assert probs.shape == (1, 2)
         assert np.isclose(probs.sum(), 1.0)
 
     def test_batch_of_stacks(self):
         rng = np.random.default_rng(4)
-        stacks = [
-            front_stage(ImagePlane(rng.uniform(0, 255, (16, 16))), dct_basis(5), DEFAULT_QT_SPECS)
-            for _ in range(3)
-        ]
+        planes = rng.uniform(0, 255, (3, 16, 16))
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
         model = build_hybrid_model(tiny_config(), seed=0)
-        probs = hybrid_forward(stacks, model)
+        probs = model.predict_proba(groups)
         assert probs.shape == (3, 2)
-
-    def test_qt_order_mismatch_rejected(self):
-        rng = np.random.default_rng(5)
-        plane = ImagePlane(rng.uniform(0, 255, (16, 16)))
-        stack = front_stage(plane, dct_basis(5), DEFAULT_QT_SPECS[::-1])
-        model = build_hybrid_model(tiny_config(), seed=0)
-        with pytest.raises(ValueError):
-            hybrid_forward(stack, model)
+        for i in range(3):
+            alone = model.predict_proba([g[i : i + 1] for g in groups])
+            assert np.allclose(alone[0], probs[i], atol=1e-6)
 
 
 class TestFullModelGradients:
@@ -228,8 +215,9 @@ class TestCheckpoint:
         path = tmp_path / "m.ckpt"
         save_checkpoint(model, path)
         loaded, _ = load_checkpoint(path)
-        for (name, la, aa), (_, lb, ab) in zip(model.named_state(), loaded.named_state()):
-            assert np.allclose(getattr(la, aa), getattr(lb, ab), atol=1e-7), name
+        for (name, la), (_, lb) in zip(model.named_layers(), loaded.named_layers()):
+            for attr in la.state_names():
+                assert np.allclose(getattr(la, attr), getattr(lb, attr), atol=1e-7), name
 
     def test_save_is_deterministic(self, tmp_path):
         model = build_hybrid_model(tiny_config(), seed=4)

@@ -1,16 +1,12 @@
 import numpy as np
 import pytest
 
-from stegokit.codec import ImagePlane
 from stegokit.residual import (
     DEFAULT_QT_SPECS,
     KernelBank,
     QtSpec,
-    _quantize_truncate_inplace,
     convolve_batch,
-    convolve_residuals,
     dct_basis,
-    front_stage,
     front_stage_batch,
     parse_qt_specs,
     quantize_truncate,
@@ -33,6 +29,11 @@ def naive_same_padding_corr(plane, kernel):
                         acc += kernel[u, v] * plane[r, c]
             out[i, j] = acc
     return out
+
+
+def convolve_one(plane, bank):
+    """Residual maps (k*k, H, W) of one plane, through the batched path."""
+    return convolve_batch(np.asarray(plane)[None], bank)[0]
 
 
 def staircase_oracle(z, spec):
@@ -91,7 +92,7 @@ class TestConvolveResiduals:
         rng = np.random.default_rng(0)
         plane = rng.normal(size=(16, 16))
         bank = dct_basis(5)
-        maps = convolve_residuals(ImagePlane(plane), bank)
+        maps = convolve_one(plane, bank)
         for idx in (0, 7, 24):
             expect = naive_same_padding_corr(plane, bank.kernels[idx])
             assert np.abs(maps[idx] - expect).max() < 1e-10
@@ -100,7 +101,7 @@ class TestConvolveResiduals:
         rng = np.random.default_rng(1)
         plane = rng.normal(size=(16, 16))
         bank = dct_basis(8)
-        maps = convolve_residuals(ImagePlane(plane), bank)
+        maps = convolve_one(plane, bank)
         for idx in (0, 13, 63):
             expect = naive_same_padding_corr(plane, bank.kernels[idx])
             assert np.abs(maps[idx] - expect).max() < 1e-10
@@ -109,20 +110,19 @@ class TestConvolveResiduals:
         plane = np.zeros((11, 11))
         plane[5, 5] = 1.0
         bank = dct_basis(5)
-        maps = convolve_residuals(ImagePlane(plane), bank)
+        maps = convolve_one(plane, bank)
         for idx in (3, 12):
             window = maps[idx, 3:8, 3:8]
             assert np.allclose(window, np.flip(bank.kernels[idx]), atol=1e-12)
 
     def test_constant_plane_zero_mean_kernels_interior(self):
-        plane = ImagePlane(np.full((12, 12), 100.0))
-        maps = convolve_residuals(plane, dct_basis(5))
+        maps = convolve_one(np.full((12, 12), 100.0), dct_basis(5))
         interior = maps[1:, 2:-2, 2:-2]  # all non-DC kernels
         assert np.abs(interior).max() < 1e-9
 
     def test_output_dimensions_match_input(self):
         for k in (3, 5, 8):
-            maps = convolve_residuals(ImagePlane(np.zeros((24, 16))), dct_basis(k))
+            maps = convolve_one(np.zeros((24, 16)), dct_basis(k))
             assert maps.shape == (k * k, 24, 16)
 
     def test_linearity(self):
@@ -130,10 +130,8 @@ class TestConvolveResiduals:
         x = rng.normal(size=(10, 10))
         y = rng.normal(size=(10, 10))
         bank = dct_basis(3)
-        lhs = convolve_residuals(ImagePlane(2.0 * x + 3.0 * y), bank)
-        rhs = 2.0 * convolve_residuals(ImagePlane(x), bank) + 3.0 * convolve_residuals(
-            ImagePlane(y), bank
-        )
+        lhs = convolve_one(2.0 * x + 3.0 * y, bank)
+        rhs = 2.0 * convolve_one(x, bank) + 3.0 * convolve_one(y, bank)
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_plane_smaller_than_kernel_rejected(self):
@@ -183,12 +181,19 @@ class TestQuantizeTruncate:
         again = quantize_truncate(once.astype(np.float64), QtSpec(4, 1))
         assert np.array_equal(once, again)
 
-    def test_fused_batch_variant_agrees(self):
+    def test_f32_and_f64_inputs_agree(self):
         rng = np.random.default_rng(6)
         z = (rng.normal(size=(3, 4, 8, 8)) * 6).astype(np.float32)
         for spec in DEFAULT_QT_SPECS + (QtSpec(4, 1.5),):
-            a = quantize_truncate(z, spec).astype(np.float32)
-            assert np.array_equal(a, _quantize_truncate_inplace(z, spec))
+            single = quantize_truncate(z, spec)
+            double = quantize_truncate(z.astype(np.float64), spec)
+            assert single.dtype == np.float32 and double.dtype == np.float64
+            assert np.array_equal(single, double)
+
+    def test_non_float_input_computed_in_f64(self):
+        out = quantize_truncate(np.array([3, -3, 9], dtype=np.int16), QtSpec(4, 2))
+        assert out.dtype == np.float64
+        assert np.array_equal(out, [2, -2, 4])
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -202,65 +207,55 @@ class TestQuantizeTruncate:
 class TestFrontStage:
     def test_default_config_shapes_and_range(self):
         rng = np.random.default_rng(7)
-        plane = ImagePlane(rng.uniform(0, 255, size=(256, 256)))
-        stack = front_stage(plane, dct_basis(5), DEFAULT_QT_SPECS)
-        assert len(stack.groups) == 3
-        for spec, group in zip(stack.specs, stack.groups):
-            assert group.shape == (25, 256, 256)
+        planes = rng.uniform(0, 255, size=(1, 256, 256))
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
+        assert len(groups) == 3
+        for group in groups:
+            assert group.shape == (1, 25, 256, 256)
+            assert group.dtype == np.float32
             assert group.min() >= -4 and group.max() <= 4
-            assert spec.T == 4
 
     def test_constant_plane_dc_saturates_interior(self):
-        plane = ImagePlane(np.full((32, 32), 128.0))
-        stack = front_stage(plane, dct_basis(5), DEFAULT_QT_SPECS)
-        for spec, group in zip(stack.specs, stack.groups):
+        planes = np.full((1, 32, 32), 128.0)
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
+        for spec, group in zip(DEFAULT_QT_SPECS, groups):
             # DC kernel responds with 5*128/q, clipped to T=4
             expect = min(round(5 * 128.0 / spec.q), 4)
-            assert (group[0, 2:-2, 2:-2] == expect).all()
-            assert np.abs(group[1:, 2:-2, 2:-2]).max() == 0
+            assert (group[0, 0, 2:-2, 2:-2] == expect).all()
+            assert np.abs(group[0, 1:, 2:-2, 2:-2]).max() == 0
 
     def test_single_spec_gives_single_group(self):
-        stack = front_stage(ImagePlane(np.zeros((16, 16))), dct_basis(5), [QtSpec(4, 2)])
-        assert len(stack.groups) == 1
+        groups = front_stage_batch(np.zeros((1, 16, 16)), dct_basis(5), [QtSpec(4, 2)])
+        assert len(groups) == 1
 
     def test_empty_specs_rejected(self):
         with pytest.raises(ValueError):
-            front_stage(ImagePlane(np.zeros((16, 16))), dct_basis(5), [])
+            front_stage_batch(np.zeros((1, 16, 16)), dct_basis(5), [])
 
     def test_batch_variant_matches_per_plane(self):
+        # Each plane of an f32 batch against that plane alone in f64.
         rng = np.random.default_rng(8)
         planes = rng.uniform(0, 255, size=(3, 24, 24)).astype(np.float32)
         bank = dct_basis(5)
         batched = front_stage_batch(planes, bank, DEFAULT_QT_SPECS)
         for i in range(3):
-            stack = front_stage(ImagePlane(planes[i].astype(np.float64)), bank, DEFAULT_QT_SPECS)
-            for g, group in enumerate(stack.groups):
-                assert np.abs(batched[g][i] - group).max() <= 1.0  # boundary-only slack
-                agree = (batched[g][i] == group).mean()
+            alone = front_stage_batch(
+                planes[i : i + 1].astype(np.float64), bank, DEFAULT_QT_SPECS, np.float64
+            )
+            for g, group in enumerate(alone):
+                assert np.abs(batched[g][i] - group[0]).max() <= 1.0  # boundary-only slack
+                agree = (batched[g][i] == group[0]).mean()
                 assert agree > 0.999
 
     def test_spec_major_ordering(self):
-        stack = front_stage(
-            ImagePlane(np.zeros((16, 16))), dct_basis(5), (QtSpec(4, 1), QtSpec(4, 2))
-        )
-        assert stack.specs == (QtSpec(4, 1), QtSpec(4, 2))
-        assert stack.labels == dct_basis(5).labels
-
-
-class TestResidualStackSerialization:
-    def test_roundtrip(self, tmp_path):
-        from stegokit.residual import load_residual_stack, save_residual_stack
-
         rng = np.random.default_rng(9)
-        plane = ImagePlane(rng.uniform(0, 255, size=(16, 16)))
-        stack = front_stage(plane, dct_basis(3), DEFAULT_QT_SPECS)
-        save_residual_stack(stack, tmp_path / "dump")
-        assert (tmp_path / "dump" / "residuals.json").exists()
-        back = load_residual_stack(tmp_path / "dump")
-        assert back.specs == stack.specs
-        assert back.labels == stack.labels
-        for a, b in zip(stack.groups, back.groups):
-            assert np.array_equal(a, b)
+        planes = rng.uniform(0, 255, size=(2, 16, 16))
+        bank = dct_basis(5)
+        specs = (QtSpec(4, 1), QtSpec(4, 2))
+        groups = front_stage_batch(planes, bank, specs)
+        residuals = convolve_batch(planes.astype(np.float32), bank)
+        for spec, group in zip(specs, groups):
+            assert np.array_equal(group, quantize_truncate(residuals, spec))
 
 
 class TestParseQtSpecs:

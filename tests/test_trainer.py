@@ -139,6 +139,24 @@ class TestEvaluate:
         acc, cover_acc, stego_acc = trainer.evaluate(model, tiny_front(), test_split)
         assert acc == 0.5 and cover_acc == 1.0 and stego_acc == 0.0
 
+    @pytest.mark.parametrize(
+        "front",
+        [
+            trainer.FrontEnd(dct_basis(5), DEFAULT_QT_SPECS[::-1]),
+            trainer.FrontEnd(dct_basis(5), DEFAULT_QT_SPECS[:2]),
+            trainer.FrontEnd(dct_basis(3), DEFAULT_QT_SPECS),
+        ],
+        ids=["reversed-qt", "fewer-groups", "other-bank"],
+    )
+    def test_qt_order_mismatch_rejected(self, front):
+        train_split, test_split = make_splits(n_pairs=4)
+        model = tiny_model()
+        cfg = trainer.TrainConfig(batch_size=2, max_iter=1, eval_every=1)
+        with pytest.raises(ValueError, match="does not match the model"):
+            trainer.evaluate(model, front, test_split)
+        with pytest.raises(ValueError, match="does not match the model"):
+            trainer.train(model, front, train_split, test_split, cfg)
+
 
 class TestTrainLoop:
     def test_metrics_written_and_reproducible(self, tmp_path):
