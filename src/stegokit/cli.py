@@ -10,13 +10,14 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import codec
 from .micronet.checkpoint import load_checkpoint
-from .micronet.model import ConfigError, HybridModel, scaled_config
+from .micronet.model import BASE_WIDTHS, ConfigError, HybridConfig, HybridModel, scaled_config
 from .propositions import (
     average_ratio_histograms,
     energy_audit,
@@ -25,7 +26,14 @@ from .propositions import (
     qt_gradient_scan,
     ratio_histogram,
 )
-from .residual import QtSpec, dct_basis, parse_qt_specs, quantize_truncate
+from .residual import (
+    DEFAULT_QT_SPECS,
+    SUPPORTED_KERNEL_SIZES,
+    QtSpec,
+    dct_basis,
+    parse_qt_specs,
+    quantize_truncate,
+)
 from .stego_sim import (
     DatasetIntegrityError,
     EmbedSpec,
@@ -72,8 +80,8 @@ def _load_planes(manifest_path, split: str) -> PairSplit:
     return PairSplit(cov, ste)
 
 
-def _front_for(kernel_size: int, qt_labels) -> FrontEnd:
-    return FrontEnd(dct_basis(kernel_size), parse_qt_specs(",".join(qt_labels)))
+def _front_for(config: HybridConfig) -> FrontEnd:
+    return FrontEnd(dct_basis(config.kernel_size), parse_qt_specs(",".join(config.qt_labels)))
 
 
 def _emit(report: dict, out_path=None) -> None:
@@ -112,64 +120,32 @@ def cmd_make_dataset(args) -> int:
     return 0
 
 
-def _resolved_train_config(args, input_size: int) -> dict:
-    return {
-        "subnet": args.subnet,
-        "kernels": args.kernels,
-        "qt": args.qt,
-        "bn": not args.no_bn,
-        "width_scale": args.width_scale,
-        "first_stride": args.first_stride,
-        "input_size": input_size,
-        "base_lr": args.base_lr,
-        "gamma": args.gamma,
-        "stepsize": args.stepsize,
-        "momentum": args.momentum,
-        "weight_decay": args.weight_decay,
-        "batch_size": args.batch_size,
-        "max_iter": args.max_iter,
-        "seed": args.seed,
-        "eval_every": args.eval_every,
-        "checkpoint_every": args.checkpoint_every,
-        "data": str(args.data),
-    }
-
-
 def cmd_train(args) -> int:
     train_split = _load_planes(args.data, "train")
     test_split = _load_planes(args.data, "test")
     input_size = train_split.covers.shape[1]
-    specs = parse_qt_specs(args.qt)
-
     model_cfg = scaled_config(
         args.subnet,
         args.width_scale,
         args.first_stride,
         kernel_size=args.kernels,
-        qt_labels=tuple(s.label() for s in specs),
+        qt_labels=tuple(s.label() for s in parse_qt_specs(args.qt)),
         input_size=input_size,
         use_bn=not args.no_bn,
     )
     model = HybridModel(model_cfg, seed=args.seed)
-    front = FrontEnd(dct_basis(args.kernels), specs)
-    cfg = TrainConfig(
-        base_lr=args.base_lr,
-        gamma=args.gamma,
-        stepsize=args.stepsize,
-        momentum=args.momentum,
-        weight_decay=args.weight_decay,
-        batch_size=args.batch_size,
-        max_iter=args.max_iter,
-        seed=args.seed,
-        eval_every=args.eval_every,
-        checkpoint_every=args.checkpoint_every,
-    )
+    cfg = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig)})
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    run_config = _resolved_train_config(args, input_size)
+    # The metrics CSV's first line: every SGD setting plus the model and data.
+    run_config = {
+        **asdict(cfg),
+        **{k: getattr(args, k) for k in ("subnet", "kernels", "qt", "width_scale", "first_stride")},
+        "bn": not args.no_bn, "input_size": input_size, "data": str(args.data),
+    }
     metrics = train(
         model,
-        front,
+        _front_for(model_cfg),
         train_split,
         test_split,
         cfg,
@@ -195,13 +171,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model, header = load_checkpoint(args.checkpoint)
     split = _load_planes(args.data, args.split)
-    if split.covers.shape[1] != model.config.input_size:
-        raise ValueError(
-            f"checkpoint was trained on {model.config.input_size}px inputs, "
-            f"data is {split.covers.shape[1]}px"
-        )
-    front = _front_for(model.config.kernel_size, model.config.qt_labels)
-    acc, cover_acc, stego_acc = evaluate(model, front, split, args.batch_size)
+    acc, cover_acc, stego_acc = evaluate(model, _front_for(model.config), split, args.batch_size)
     _emit(
         {
             "config": {"checkpoint": str(args.checkpoint), "data": str(args.data),
@@ -225,8 +195,7 @@ def cmd_ensemble(args) -> int:
     votes, singles = [], []
     for ck in args.checkpoints:
         model, _ = load_checkpoint(ck)
-        front = _front_for(model.config.kernel_size, model.config.qt_labels)
-        preds = predict(model, front, planes, args.batch_size)
+        preds = predict(model, _front_for(model.config), planes, args.batch_size)
         votes.append(preds)
         singles.append(float((preds == labels).mean()))
     voted = ensemble_vote(np.stack(votes))
@@ -330,6 +299,7 @@ def cmd_verify_prop2(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="stegokit", description=__doc__)
+    default_qt = ",".join(spec.label() for spec in DEFAULT_QT_SPECS)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_config_flag(p):
@@ -354,23 +324,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train a hybrid model")
     p.add_argument("--data", type=Path, required=True, help="manifest.jsonl path")
     p.add_argument("--out", type=Path, required=True)
-    p.add_argument("--subnet", choices=("type1", "type2"), default="type1")
-    p.add_argument("--kernels", type=int, choices=(3, 5, 8), default=5)
-    p.add_argument("--qt", default="4:1,4:2,4:4")
+    p.add_argument("--subnet", choices=tuple(BASE_WIDTHS), default=HybridConfig.variant)
+    p.add_argument("--kernels", type=int, choices=SUPPORTED_KERNEL_SIZES,
+                   default=HybridConfig.kernel_size)
+    p.add_argument("--qt", default=default_qt)
     p.add_argument("--no-bn", action="store_true")
     p.add_argument("--width-scale", type=float, default=1.0)
-    p.add_argument("--first-stride", type=int, choices=(2, 4), default=2,
+    p.add_argument("--first-stride", type=int, choices=(2, 4), default=HybridConfig.first_stride,
                    help="type1 bottom conv stride (4 for 512px inputs)")
-    p.add_argument("--base-lr", type=float, default=0.01)
-    p.add_argument("--gamma", type=float, default=0.9)
-    p.add_argument("--stepsize", type=int, default=5000)
-    p.add_argument("--momentum", type=float, default=0.9)
-    p.add_argument("--weight-decay", type=float, default=0.0005)
-    p.add_argument("--batch-size", type=int, default=64)
-    p.add_argument("--max-iter", type=int, default=200000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--eval-every", type=int, default=1000)
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    for f in fields(TrainConfig):
+        p.add_argument("--" + f.name.replace("_", "-"), type=type(f.default), default=f.default)
     p.add_argument("--stop-accuracy", type=float, default=None,
                    help="stop once test accuracy reaches this value")
     add_config_flag(p)
@@ -404,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify_prop1)
 
     p = sub.add_parser("verify-prop2", help="quantize-truncate gradient-nullity scan")
-    p.add_argument("--qt", default="4:1,4:2,4:4")
+    p.add_argument("--qt", default=default_qt)
     p.add_argument("--points", type=int, default=100_000)
     p.add_argument("--h", type=float, default=1e-4)
     p.add_argument("--seed", type=int, default=0)
@@ -417,54 +380,73 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _install_config_defaults(parser, argv) -> int | None:
-    """Make the subcommand's --config file its flag defaults before argv is
-    parsed, so that the file can also supply required flags.
+def _flag_tokens(action, value) -> list:
+    """The command-line tokens that give action's flag the JSON value. Raises
+    ValueError unless the value passes the flag's type and choices; a
+    store_true flag takes a bool and a nargs="+" flag a nonempty list."""
+    flag = action.option_strings[0]
+    if isinstance(action, argparse._StoreTrueAction):
+        if not isinstance(value, bool):
+            raise ValueError(f"expected true or false, got {json.dumps(value)}")
+        return [flag] if value else []
+    if action.nargs == "+" and not (isinstance(value, list) and value):
+        raise ValueError(f"expected a nonempty list, got {json.dumps(value)}")
+    values = value if action.nargs == "+" else [value]
+    convert = action.type or str
+    for v in values:
+        if isinstance(v, bool) or not isinstance(v, (str, int, float)):
+            raise ValueError(f"expected a string or a number, got {json.dumps(v)}")
+        try:
+            converted = convert(str(v))
+        except ValueError:
+            raise ValueError(f"invalid {convert.__name__} value {v!r}") from None
+        if action.choices is not None and converted not in action.choices:
+            choices = ", ".join(map(str, action.choices))
+            raise ValueError(f"invalid choice {v!r} (choose from {choices})")
+    if action.nargs == "+":
+        return [flag, *map(str, values)]
+    return [f"{flag}={value}"]
 
-    Returns an exit code when the file cannot be used, else None.
+
+def _splice_config(parser, argv) -> list:
+    """argv with the subcommand's --config file spliced in as flag tokens
+    ahead of the command line's own flags, so that explicit flags win and the
+    file can also supply required flags. Raises ValueError naming the file
+    and the key for an unknown key or a value its flag would refuse.
     """
     (subparsers,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     subparser = subparsers.choices.get(argv[0]) if argv else None
     if subparser is None:
-        return None  # the full parse reports the missing or unknown subcommand
+        return argv  # the full parse reports the missing or unknown subcommand
     pre = argparse.ArgumentParser(prog=subparser.prog, add_help=False)
     pre.add_argument("--config", type=Path, default=None)
     path = pre.parse_known_args(argv[1:])[0].config
     if path is None:
-        return None
+        return argv
     try:
         overrides = json.loads(path.read_text())
-    except OSError as exc:
-        print(f"stegokit: cannot read config: {exc}", file=sys.stderr)
-        return EXIT_IO
     except json.JSONDecodeError as exc:
-        print(f"stegokit: bad config JSON: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError(f"config {path}: bad JSON: {exc}") from None
     if not isinstance(overrides, dict):
-        print(f"stegokit: config {path} must hold a JSON object", file=sys.stderr)
-        return EXIT_USAGE
-    unknown = set(overrides) - {a.dest for a in subparser._actions}
+        raise ValueError(f"config {path} must hold a JSON object")
+    flags = {a.dest: a for a in subparser._actions if not isinstance(a, argparse._HelpAction)}
+    unknown = set(overrides) - set(flags)
     if unknown:
-        print(f"stegokit: unknown config keys: {sorted(unknown)}", file=sys.stderr)
-        return EXIT_USAGE
-    subparser.set_defaults(**overrides)
-    for action in subparser._actions:
-        if action.dest in overrides:
-            action.required = False
-    for group in subparser._mutually_exclusive_groups:
-        if any(a.dest in overrides for a in group._group_actions):
-            group.required = False
-    return None
+        raise ValueError(f"config {path}: unknown config keys: {sorted(unknown)}")
+    tokens = []
+    for key, value in overrides.items():
+        try:
+            tokens += _flag_tokens(flags[key], value)
+        except ValueError as exc:
+            raise ValueError(f"config {path}: {key}: {exc}") from None
+    return [argv[0], *tokens, *argv[1:]]
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
-    code = _install_config_defaults(parser, argv)
-    if code is not None:
-        return code
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(_splice_config(parser, argv))
         return args.func(args)
     except DatasetIntegrityError as exc:
         print(f"stegokit: dataset integrity: {exc}", file=sys.stderr)

@@ -1,5 +1,5 @@
-"""On-disk formats: the JCG coefficient container, binary PGM covers, and raw
-f64 planes (FPL1). All multi-byte fields are little-endian."""
+"""On-disk formats: the JCG coefficient container and binary PGM covers.
+All multi-byte fields are little-endian."""
 
 from __future__ import annotations
 
@@ -8,10 +8,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import BLOCK, DctGrid, ImagePlane, to_blocks
+from .codec import BLOCK, DctGrid, to_blocks
 
 JCG_MAGIC = b"JCG1"
-FPL_MAGIC = b"FPL1"
+JCG_HEADER = 12 + 128  # magic, width, height, quant table
 
 
 def write_jcg(path, grid: DctGrid) -> None:
@@ -28,16 +28,23 @@ def write_jcg(path, grid: DctGrid) -> None:
 
 
 def read_jcg(path) -> DctGrid:
+    """Inverse of write_jcg. The file must be exactly as long as its header
+    says; any other content raises ValueError naming the file."""
     data = Path(path).read_bytes()
     if data[:4] != JCG_MAGIC:
         raise ValueError(f"{path}: not a JCG1 container")
+    if len(data) < 12:
+        raise ValueError(f"{path}: truncated header ({len(data)} bytes)")
     width, height = struct.unpack_from("<II", data, 4)
     if width % BLOCK or height % BLOCK:
         raise ValueError(f"{path}: dimensions must be multiples of {BLOCK}")
+    expected = JCG_HEADER + 2 * width * height
+    if len(data) != expected:
+        raise ValueError(
+            f"{path}: {len(data)} bytes, a {width}x{height} grid needs {expected}"
+        )
     qt = np.frombuffer(data, dtype="<u2", count=64, offset=12).reshape(BLOCK, BLOCK)
-    coeffs = np.frombuffer(data, dtype="<i2", count=width * height, offset=12 + 128)
-    if coeffs.size != width * height:
-        raise ValueError(f"{path}: truncated coefficient payload")
+    coeffs = np.frombuffer(data, dtype="<i2", count=width * height, offset=JCG_HEADER)
     blocks = coeffs.reshape(height // BLOCK, width // BLOCK, BLOCK, BLOCK)
     plane = blocks.transpose(0, 2, 1, 3).reshape(height, width)
     return DctGrid(coeffs=plane, quant_table=qt.astype(np.uint16))
@@ -83,24 +90,3 @@ def read_pgm(path) -> np.ndarray:
     if pixels.size != w * h:
         raise ValueError(f"{path}: truncated pixel payload")
     return pixels.reshape(h, w).copy()
-
-
-def write_fpl(path, plane: ImagePlane | np.ndarray) -> None:
-    """Raw f64 plane: magic, u32 width, u32 height, then w*h f64 row-major."""
-    arr = plane.values if isinstance(plane, ImagePlane) else np.asarray(plane, dtype=np.float64)
-    h, w = arr.shape
-    with open(path, "wb") as fh:
-        fh.write(FPL_MAGIC)
-        fh.write(struct.pack("<II", w, h))
-        fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-
-
-def read_fpl(path) -> np.ndarray:
-    data = Path(path).read_bytes()
-    if data[:4] != FPL_MAGIC:
-        raise ValueError(f"{path}: not an FPL1 plane")
-    w, h = struct.unpack_from("<II", data, 4)
-    values = np.frombuffer(data, dtype="<f8", count=w * h, offset=12)
-    if values.size != w * h:
-        raise ValueError(f"{path}: truncated payload")
-    return values.reshape(h, w).copy()

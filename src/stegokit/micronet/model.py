@@ -12,6 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from ..residual import DEFAULT_QT_SPECS
 from . import ops
 from .layers import AvgPool2d, BatchNorm2d, Conv2d, Dense, Flatten, ReLU, Sequential
 
@@ -31,7 +32,7 @@ class HybridConfig:
 
     variant: str = "type1"
     kernel_size: int = 5
-    qt_labels: tuple = ("4:1", "4:2", "4:4")
+    qt_labels: tuple = tuple(spec.label() for spec in DEFAULT_QT_SPECS)
     input_size: int = 256
     widths: tuple = BASE_WIDTHS["type1"]
     head_widths: tuple = HEAD_WIDTHS

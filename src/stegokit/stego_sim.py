@@ -4,8 +4,9 @@ coefficient embedding, synthetic texture covers, and leak-free manifests."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -221,35 +222,41 @@ def write_manifest(path, manifest: DatasetManifest) -> None:
     with open(path, "w") as fh:
         fh.write(json.dumps({"config": manifest.config}, sort_keys=True) + "\n")
         for r in manifest.records:
-            fh.write(
-                json.dumps(
-                    {
-                        "cover_path": r.cover_path,
-                        "stego_path": r.stego_path,
-                        "pair_id": r.pair_id,
-                        "split": r.split,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            fh.write(json.dumps(asdict(r), sort_keys=True) + "\n")
 
 
 def read_manifest(path) -> DatasetManifest:
+    """Inverse of write_manifest. Raises DatasetIntegrityError, naming the
+    line and the field, unless line 1 is {"config": {...}} and every other
+    line holds exactly the PairRecord fields with their types."""
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}: empty manifest")
-    header = json.loads(lines[0])
-    records = tuple(
-        PairRecord(
-            cover_path=rec["cover_path"],
-            stego_path=rec["stego_path"],
-            pair_id=rec["pair_id"],
-            split=rec["split"],
-        )
-        for rec in map(json.loads, lines[1:])
-    )
-    return DatasetManifest(config=header["config"], records=records)
+    types = get_type_hints(PairRecord)
+    header, records = None, []
+    for lineno, line in enumerate(lines, start=1):
+        where = f"{path}: line {lineno}"
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DatasetIntegrityError(f"{where}: bad JSON: {exc}") from None
+        if not isinstance(obj, dict):
+            raise DatasetIntegrityError(f"{where}: expected a JSON object")
+        if header is None:
+            if set(obj) != {"config"} or not isinstance(obj["config"], dict):
+                raise DatasetIntegrityError(f'{where}: expected {{"config": {{...}}}}')
+            header = obj["config"]
+            continue
+        for name, kind in types.items():
+            if name not in obj:
+                raise DatasetIntegrityError(f"{where}: missing field {name!r}")
+            if not isinstance(obj[name], kind):
+                raise DatasetIntegrityError(f"{where}: field {name!r} must be {kind.__name__}")
+        unknown = sorted(set(obj) - set(types))
+        if unknown:
+            raise DatasetIntegrityError(f"{where}: unknown fields {unknown}")
+        records.append(PairRecord(**obj))
+    return DatasetManifest(config=header, records=tuple(records))
 
 
 def audit_manifest(manifest: DatasetManifest) -> None:

@@ -137,9 +137,18 @@ def _check_front_end(model: HybridModel, front: FrontEnd) -> None:
         )
 
 
+def _check_input_size(model: HybridModel, planes: np.ndarray) -> None:
+    """Raise ValueError unless planes are the square size model was built for."""
+    size = model.config.input_size
+    if planes.shape[1:] != (size, size):
+        h, w = planes.shape[1:]
+        raise ValueError(f"model was trained on {size}x{size}px inputs, data is {h}x{w}px")
+
+
 def predict(model: HybridModel, front: FrontEnd, planes: np.ndarray, batch_size: int = 64):
     """Predicted label (0 cover, 1 stego) of each plane, batch_size at a time."""
     _check_front_end(model, front)
+    _check_input_size(model, planes)
     return np.concatenate([
         model.predict(front.transform(planes[start : start + batch_size]))
         for start in range(0, len(planes), batch_size)
@@ -184,6 +193,7 @@ def train(
     stop_accuracy, when given. Returns the metrics list.
     """
     _check_front_end(model, front)
+    _check_input_size(model, train_split.covers)
     if cfg.batch_size // 2 > len(train_split):
         raise ValueError(
             f"batch of {cfg.batch_size} needs {cfg.batch_size // 2} pairs, "

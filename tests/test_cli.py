@@ -167,6 +167,51 @@ class TestTrain:
         assert code == 0
         assert json.loads(out)["train_pairs"] == 2
 
+    @pytest.mark.parametrize("command, cfg", [
+        ("train", {"batch_size": None}),
+        ("train", {"batch_size": [4]}),
+        ("train", {"batch_size": "four"}),
+        ("train", {"first_stride": 3}),
+        ("train", {"no_bn": "false"}),
+        ("train", {"subnet": "type3"}),
+        ("ensemble", {"checkpoints": "model.ckpt"}),
+    ], ids=["null", "list-for-scalar", "not-an-int", "not-a-choice", "string-for-bool",
+            "not-a-subnet", "scalar-for-list"])
+    def test_bad_config_value_exits_2_naming_file_and_key(
+        self, command, cfg, dataset_dir, tmp_path, capsys
+    ):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps(cfg))
+        extra = ["--out", str(tmp_path / "o"), *TINY_TRAIN] if command == "train" else []
+        code, _, err = run(
+            [command, "--data", str(dataset_dir / "manifest.jsonl"), *extra,
+             "--config", str(cfg_path)], capsys
+        )
+        assert code == 2
+        (key,) = cfg
+        assert str(cfg_path) in err and key in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("no_bn", [False, True])
+    def test_config_bool_sets_store_true_flag(self, no_bn, dataset_dir, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"no_bn": no_bn}))
+        code, out, _ = run(
+            ["train", "--data", str(dataset_dir / "manifest.jsonl"), "--out", str(tmp_path),
+             "--config", str(cfg_path), *TINY_TRAIN], capsys
+        )
+        assert code == 0
+        assert json.loads(out)["config"]["bn"] is not no_bn
+
+    def test_run_config_keys(self, trained_dir):
+        # line 1 of the metrics CSV; criterion 8 compares it between runs
+        line = (trained_dir / "metrics.csv").read_text().splitlines()[0]
+        assert sorted(json.loads(line[2:])) == [
+            "base_lr", "batch_size", "bn", "checkpoint_every", "data", "eval_every",
+            "first_stride", "gamma", "input_size", "kernels", "max_iter", "momentum",
+            "qt", "seed", "stepsize", "subnet", "weight_decay", "width_scale",
+        ]
+
     def test_unknown_config_key_exits_2(self, dataset_dir, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"nonsense": 1}))
@@ -213,6 +258,32 @@ class TestEvalAndEnsemble:
         report = json.loads(out)
         assert np.isclose(report["ensemble_accuracy"], single)
         assert report["single_accuracies"] == [single] * 5
+
+    @pytest.mark.parametrize("command", ["eval", "ensemble"])
+    def test_input_size_mismatch_names_both_sizes(
+        self, command, trained_dir, tmp_path, capsys
+    ):
+        data = tmp_path / "d32"
+        assert cli.main(["make-dataset", "--synthetic", "4", "--size", "32", "--rate", "0.3",
+                         "--out", str(data)]) == 0
+        ck = str(trained_dir / "model.ckpt")
+        checkpoints = ["--checkpoint", ck] if command == "eval" else ["--checkpoints", ck, ck, ck]
+        code, _, err = run(
+            [command, *checkpoints, "--data", str(data / "manifest.jsonl")], capsys
+        )
+        assert code == 2
+        assert "16x16px" in err and "32x32px" in err
+
+    def test_malformed_manifest_exits_4(self, dataset_dir, tmp_path, capsys):
+        lines = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        rec = json.loads(lines[1])
+        del rec["split"]
+        lines[1] = json.dumps(rec)
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("\n".join(lines) + "\n")
+        code, _, err = run(["verify-prop1", "--data", str(bad)], capsys)
+        assert code == 4
+        assert f"{bad}: line 2: missing field 'split'" in err
 
     def test_even_checkpoint_count_exits_2(self, dataset_dir, trained_dir, capsys):
         ck = str(trained_dir / "model.ckpt")

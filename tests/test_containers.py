@@ -54,6 +54,20 @@ class TestJcg:
         with pytest.raises(ValueError):
             containers.read_jcg(path)
 
+    @pytest.mark.parametrize("edit", [
+        lambda d: d[:8],  # magic, then part of the width
+        lambda d: d[:12 + 64],  # part of the quant table
+        lambda d: d[:-2],  # one coefficient short
+        lambda d: d + b"\0\0",  # one coefficient too many
+    ], ids=["short-header", "short-table", "truncated", "over-long"])
+    def test_wrong_length_names_the_file(self, edit, tmp_path):
+        rng = np.random.default_rng(4)
+        path = tmp_path / "w.jcg"
+        containers.write_jcg(path, make_grid(rng))
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(ValueError, match="w.jcg"):
+            containers.read_jcg(path)
+
 
 class TestPgm:
     def test_roundtrip(self, tmp_path):
@@ -83,32 +97,3 @@ class TestPgm:
     def test_out_of_range_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             containers.write_pgm(tmp_path / "o.pgm", np.full((4, 4), 300))
-
-
-class TestFpl:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(3)
-        values = rng.normal(size=(12, 20))
-        path = tmp_path / "p.fpl"
-        containers.write_fpl(path, values)
-        assert np.array_equal(containers.read_fpl(path), values)
-
-    def test_accepts_image_plane(self, tmp_path):
-        plane = codec.ImagePlane(np.ones((8, 8)) * 3.5)
-        path = tmp_path / "q.fpl"
-        containers.write_fpl(path, plane)
-        assert np.array_equal(containers.read_fpl(path), plane.values)
-
-    def test_header(self, tmp_path):
-        path = tmp_path / "h.fpl"
-        containers.write_fpl(path, np.zeros((3, 5)))
-        data = path.read_bytes()
-        assert data[:4] == b"FPL1"
-        assert struct.unpack_from("<II", data, 4) == (5, 3)
-        assert len(data) == 12 + 15 * 8
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "b.fpl"
-        path.write_bytes(b"NOPE" + b"\0" * 20)
-        with pytest.raises(ValueError):
-            containers.read_fpl(path)

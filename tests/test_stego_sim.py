@@ -187,6 +187,9 @@ class TestBuildDataset:
             build_dataset(tmp_path, EmbedSpec(rate=0.2), synthetic=1, size=16)
 
 
+GOOD_RECORD = '{"cover_path": "c.jcg", "pair_id": 0, "split": "train", "stego_path": "s.jcg"}'
+
+
 class TestManifest:
     def test_roundtrip(self, tmp_path):
         manifest = build_dataset(
@@ -195,6 +198,37 @@ class TestManifest:
         back = read_manifest(tmp_path / "manifest.jsonl")
         assert back.config == manifest.config
         assert back.records == manifest.records
+
+    def test_record_bytes(self, tmp_path):
+        # dataset hashes depend on this exact layout
+        manifest = DatasetManifest(
+            config={"qf": 75}, records=(PairRecord("covers/a.jcg", "stegos/a.jcg", 0, "train"),)
+        )
+        write_manifest(tmp_path / "m.jsonl", manifest)
+        assert (tmp_path / "m.jsonl").read_text() == (
+            '{"config": {"qf": 75}}\n'
+            '{"cover_path": "covers/a.jcg", "pair_id": 0, "split": "train", '
+            '"stego_path": "stegos/a.jcg"}\n'
+        )
+
+    @pytest.mark.parametrize("lineno, text, expected", [
+        (1, '{"settings": {}}', "line 1"),
+        (2, '{"cover_path": "c.jcg", "pair_id": 0, "split": "train"}',
+         "line 2: missing field 'stego_path'"),
+        (2, GOOD_RECORD[:-1] + ', "extra": 1}', "line 2: unknown fields"),
+        (2, GOOD_RECORD.replace('"pair_id": 0', '"pair_id": "0"'),
+         "line 2: field 'pair_id' must be int"),
+        (3, GOOD_RECORD[:-1], "line 3: bad JSON"),
+        (3, "[1, 2]", "line 3: expected a JSON object"),
+    ], ids=["header", "missing-field", "unknown-field", "wrong-type", "bad-json", "not-an-object"])
+    def test_malformed_line_names_path_line_and_field(self, lineno, text, expected, tmp_path):
+        lines = ['{"config": {}}', GOOD_RECORD, GOOD_RECORD]
+        lines[lineno - 1] = text
+        path = tmp_path / "m.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(DatasetIntegrityError, match=expected) as exc:
+            read_manifest(path)
+        assert str(path) in str(exc.value)
 
     def test_audit_detects_duplicated_cover_across_splits(self):
         records = (
