@@ -66,6 +66,9 @@ def write_pgm(path, pixels: np.ndarray) -> None:
 
 
 def read_pgm(path) -> np.ndarray:
+    """8-bit binary PGM. Raises ValueError naming the file and the field
+    unless the header holds three integers (positive width and height,
+    maxval 255) and exactly width*height pixel bytes follow it."""
     data = Path(path).read_bytes()
     if data[:2] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (P5)")
@@ -82,11 +85,22 @@ def read_pgm(path) -> np.ndarray:
         while pos < len(data) and not data[pos : pos + 1].isspace():
             pos += 1
         tokens.append(data[start:pos])
+    values = []
+    for field, token in zip(("width", "height", "maxval"), tokens):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{path}: {field}: expected an integer, got {token!r}") from None
     pos += 1  # single whitespace byte after maxval
-    w, h, maxval = (int(t) for t in tokens)
+    w, h, maxval = values
+    for field, size in (("width", w), ("height", h)):
+        if size < 1:
+            raise ValueError(f"{path}: {field}: must be positive, got {size}")
     if maxval != 255:
         raise ValueError(f"{path}: only 8-bit PGM supported (maxval {maxval})")
-    pixels = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=pos)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel payload")
+    if len(data) - pos != w * h:
+        raise ValueError(
+            f"{path}: pixels: expected {w * h} bytes for {w}x{h}, found {max(len(data) - pos, 0)}"
+        )
+    pixels = np.frombuffer(data, dtype=np.uint8, offset=pos)
     return pixels.reshape(h, w).copy()

@@ -49,8 +49,7 @@ class Conv2d(Layer):
         self.b = np.zeros(out_ch, dtype=dtype)
         self.gw = np.zeros_like(self.w)
         self.gb = np.zeros_like(self.b)
-        self._cols = None
-        self._x_shape = None
+        self._x = None
 
     def param_names(self):
         return ("w", "b")
@@ -65,20 +64,17 @@ class Conv2d(Layer):
             ops.conv_out_size(w, k, self.stride, self.pad),
         )
 
+    # Backward rebuilds the patches chunk by chunk from x, so training caches
+    # x itself rather than the patch matrix, k*k times its size.
     def forward(self, x, training=False):
-        out, cols = ops.conv2d_forward(
-            x, self.w, self.b, self.stride, self.pad, return_cols=True
-        )
-        self._cols = cols if training else None
-        self._x_shape = x.shape
-        return out
+        self._x = x if training else None
+        return ops.conv2d_forward(x, self.w, self.b, self.stride, self.pad)
 
     def backward(self, grad_out):
         grad_x, self.gw, self.gb = ops.conv2d_backward(
-            self._x_shape, self.w, grad_out, self.stride, self.pad,
-            cols=self._cols, input_grad=self.input_grad,
+            self._x, self.w, grad_out, self.stride, self.pad, input_grad=self.input_grad
         )
-        self._cols = None
+        self._x = None
         return grad_x
 
 

@@ -1,9 +1,13 @@
 """Forward/backward primitives on (batch, channels, height, width) arrays.
 
 Everything is plain numpy. Convolution goes through one strided
-patch-extraction helper (im2col) so the heavy lifting is a single GEMM per
-call; average pooling sums shifted strided slices, or reshapes and takes the
-mean where the windows tile the input exactly.
+patch-extraction helper (im2col) so the heavy lifting is GEMMs. It walks
+the output in chunks of about CHUNK_ROWS patch-matrix rows, building each
+chunk's patches and consuming them at once, so the whole patch matrix
+(k*k times the input) never exists; backward rebuilds the patches from the
+input, which is all a conv layer keeps for it. Average pooling sums shifted
+strided slices, or reshapes and takes the mean where the windows tile the
+input exactly.
 """
 
 from __future__ import annotations
@@ -12,6 +16,9 @@ import numpy as np
 
 BN_EPS = 1e-5
 BN_MOMENTUM = 0.9
+#: Patch-matrix rows built at a time by the convolutions (about 5 MB of f32
+#: at the first conv's 625 columns), so a chunk's patches stay in cache.
+CHUNK_ROWS = 2048
 
 
 def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -21,6 +28,12 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
             f"kernel {kernel} stride {stride} pad {pad} does not fit input of size {size}"
         )
     return out
+
+
+def _padded_channels_last(x: np.ndarray, pad: int) -> np.ndarray:
+    """(N, C, H, W) -> (N, H+2p, W+2p, C); a view of ``x`` when pad is 0."""
+    x = x.transpose(0, 2, 3, 1)
+    return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
 
 
 def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
@@ -35,9 +48,7 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> tuple[np.ndarra
     n, c, h, w = x.shape
     oh = conv_out_size(h, kernel, stride, pad)
     ow = conv_out_size(w, kernel, stride, pad)
-    x = x.transpose(0, 2, 3, 1)
-    if pad:
-        x = np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+    x = _padded_channels_last(x, pad)
     sn, sh, sw, sc = x.strides
     patches = np.lib.stride_tricks.as_strided(
         x,
@@ -71,69 +82,104 @@ def _weight_matrix(w: np.ndarray) -> np.ndarray:
     return w.transpose(0, 2, 3, 1).reshape(w.shape[0], -1)
 
 
+def _chunks(n: int, oh: int, ow: int, kernel: int, stride: int):
+    """Split the conv's N*OH*OW patch-matrix rows into runs of about CHUNK_ROWS.
+
+    Yields ``(rows, slab)``: the chunk's slice of the patch-matrix rows and
+    the index of the padded channels-last input it reads. Where one image
+    has at most CHUNK_ROWS rows, a chunk is a group of whole images;
+    otherwise it is a band of output rows of one image.
+    """
+    if oh * ow <= CHUNK_ROWS:
+        step = CHUNK_ROWS // (oh * ow)
+        bounds = ((n0, min(n, n0 + step), 0, oh) for n0 in range(0, n, step))
+    else:
+        band = max(1, CHUNK_ROWS // ow)
+        bounds = (
+            (n0, n0 + 1, i0, min(oh, i0 + band)) for n0 in range(n) for i0 in range(0, oh, band)
+        )
+    for n0, n1, i0, i1 in bounds:
+        rows = slice((n0 * oh + i0) * ow, ((n1 - 1) * oh + i1) * ow)
+        yield rows, (slice(n0, n1), slice(i0 * stride, (i1 - 1) * stride + kernel))
+
+
 def conv2d_forward(
-    x: np.ndarray,
-    w: np.ndarray,
-    b: np.ndarray,
-    stride: int = 1,
-    pad: int = 0,
-    return_cols: bool = False,
-):
+    x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1, pad: int = 0
+) -> np.ndarray:
     """out(n,o,i,j) = sum_c,u,v w(o,c,u,v) * x(n,c,i*s+u-pad,j*s+v-pad) + b(o).
 
-    With ``return_cols`` it returns ``(out, cols)``, the im2col patch matrix
-    that conv2d_backward can reuse.
+    ``x`` is padded and made channels-last once; each chunk of about
+    CHUNK_ROWS output pixels then gets its patches from im2col and one GEMM
+    into its rows of a channels-last output, so the patch matrix is never
+    built whole. The result does not depend on where chunks fall.
     """
-    _conv_check(x.shape, w)
-    cols, oh, ow = im2col(x, w.shape[2], stride, pad)
-    out = cols @ _weight_matrix(w).T
+    _conv_check(x, w)
+    kernel = w.shape[2]
+    n = x.shape[0]
+    oh = conv_out_size(x.shape[2], kernel, stride, pad)
+    ow = conv_out_size(x.shape[3], kernel, stride, pad)
+    xp = _padded_channels_last(x, pad)
+    wt = _weight_matrix(w).T
+    out = np.empty((n, oh, ow, w.shape[0]), dtype=np.result_type(x.dtype, w.dtype))
+    rows_out = out.reshape(n * oh * ow, -1)
+    for rows, slab in _chunks(n, oh, ow, kernel, stride):
+        cols, _, _ = im2col(xp[slab].transpose(0, 3, 1, 2), kernel, stride, 0)
+        np.matmul(cols, wt, out=rows_out[rows])
     if b is not None:
         out += b
-    out = np.ascontiguousarray(out.reshape(x.shape[0], oh, ow, -1).transpose(0, 3, 1, 2))
-    return (out, cols) if return_cols else out
+    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
 
 
-def _conv_check(x_shape: tuple, w: np.ndarray) -> None:
-    if len(x_shape) != 4 or w.ndim != 4:
+def _conv_check(x: np.ndarray, w: np.ndarray) -> None:
+    if x.ndim != 4 or w.ndim != 4:
         raise ValueError("conv2d expects 4-D input and weights")
-    if x_shape[1] != w.shape[1]:
-        raise ValueError(f"channel mismatch: input {x_shape[1]}, weights {w.shape[1]}")
+    if x.shape[1] != w.shape[1]:
+        raise ValueError(f"channel mismatch: input {x.shape[1]}, weights {w.shape[1]}")
     if w.shape[2] != w.shape[3]:
         raise ValueError("only square kernels supported")
 
 
 def conv2d_backward(
-    x: np.ndarray | tuple,
+    x: np.ndarray,
     w: np.ndarray,
     grad_out: np.ndarray,
     stride: int = 1,
     pad: int = 0,
-    cols: np.ndarray | None = None,
     input_grad: bool = True,
 ) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
     """Exact gradients of conv2d_forward: (grad_x, grad_w, grad_b).
 
-    ``cols`` may pass the forward pass's patch matrix, whose columns are in
-    im2col's (u, v, c) order, to skip recomputing it; ``x`` is then read
-    only for its shape and may be given as the shape tuple. With
+    Walks conv2d_forward's chunks, rebuilding each chunk's patches from
+    ``x`` (columns in im2col's (u, v, c) order) and adding its share to
+    grad_w and, through col2im, to a padded channels-last grad_x. With
     ``input_grad=False`` grad_x is None and its col2im is skipped.
     """
-    x_shape = x if isinstance(x, tuple) else x.shape
-    _conv_check(x_shape, w)
+    _conv_check(x, w)
     kernel = w.shape[2]
     n, oc, oh, ow = grad_out.shape
-    if cols is None:
-        cols, oh2, ow2 = im2col(x, kernel, stride, pad)
-        if (oh2, ow2) != (oh, ow):
-            raise ValueError("grad_out shape inconsistent with forward output")
+    if (oh, ow) != tuple(conv_out_size(s, kernel, stride, pad) for s in x.shape[2:]):
+        raise ValueError("grad_out shape inconsistent with forward output")
+    xp = _padded_channels_last(x, pad)
+    wm = _weight_matrix(w)
     gom = grad_out.transpose(0, 2, 3, 1).reshape(-1, oc)
-    grad_w = (gom.T @ cols).reshape(oc, kernel, kernel, -1).transpose(0, 3, 1, 2)
-    grad_b = gom.sum(axis=0)
+    grad_w = np.zeros((oc, wm.shape[1]), dtype=np.result_type(grad_out.dtype, x.dtype))
+    if input_grad:
+        grad_xp = np.zeros(xp.shape, dtype=np.result_type(grad_out.dtype, w.dtype))
+    for rows, slab in _chunks(n, oh, ow, kernel, stride):
+        xs = xp[slab].transpose(0, 3, 1, 2)
+        cols, chunk_oh, _ = im2col(xs, kernel, stride, 0)
+        grad_w += gom[rows].T @ cols
+        if input_grad:
+            grad_cols = gom[rows] @ wm
+            grad_xp[slab] += col2im(
+                grad_cols, xs.shape, kernel, stride, 0, chunk_oh, ow
+            ).transpose(0, 2, 3, 1)
     grad_x = None
     if input_grad:
-        grad_cols = gom @ _weight_matrix(w)
-        grad_x = col2im(grad_cols, x_shape, kernel, stride, pad, oh, ow)
-    return grad_x, np.ascontiguousarray(grad_w), grad_b
+        h, wd = x.shape[2:]
+        grad_x = grad_xp[:, pad : pad + h, pad : pad + wd].transpose(0, 3, 1, 2)
+    grad_w = grad_w.reshape(oc, kernel, kernel, -1).transpose(0, 3, 1, 2)
+    return grad_x, np.ascontiguousarray(grad_w), gom.sum(axis=0)
 
 
 def batchnorm_forward(

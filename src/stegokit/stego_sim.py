@@ -231,7 +231,7 @@ def read_manifest(path) -> DatasetManifest:
     line holds exactly the PairRecord fields with their types."""
     lines = Path(path).read_text().splitlines()
     if not lines:
-        raise ValueError(f"{path}: empty manifest")
+        raise DatasetIntegrityError(f"{path}: empty manifest")
     types = get_type_hints(PairRecord)
     header, records = None, []
     for lineno, line in enumerate(lines, start=1):
@@ -259,34 +259,40 @@ def read_manifest(path) -> DatasetManifest:
     return DatasetManifest(config=header, records=tuple(records))
 
 
-def audit_manifest(manifest: DatasetManifest) -> None:
+def audit_manifest(manifest: DatasetManifest, source="manifest") -> None:
     """Raise DatasetIntegrityError on duplicate pairs, split leaks, or a
-    lopsided split."""
-    ids = [r.pair_id for r in manifest.records]
-    if len(set(ids)) != len(ids):
-        raise DatasetIntegrityError("duplicate pair_id in manifest")
+    lopsided split; each message starts with ``source``, the manifest's file."""
+    ids = set()
+    for r in manifest.records:
+        if r.pair_id in ids:
+            raise DatasetIntegrityError(f"{source}: duplicate pair_id {r.pair_id}")
+        ids.add(r.pair_id)
     covers = {"train": set(), "test": set()}
     for r in manifest.records:
         if r.split not in covers:
-            raise DatasetIntegrityError(f"unknown split {r.split!r}")
+            raise DatasetIntegrityError(f"{source}: unknown split {r.split!r}")
         covers[r.split].add(r.cover_path)
     leaked = covers["train"] & covers["test"]
     if leaked:
-        raise DatasetIntegrityError(f"covers appear in both splits: {sorted(leaked)[:3]}")
+        raise DatasetIntegrityError(
+            f"{source}: covers appear in both splits: {sorted(leaked)[:3]}"
+        )
     n_train, n_test = len(covers["train"]), len(covers["test"])
     if abs(n_train - n_test) > 1:
-        raise DatasetIntegrityError(f"split sizes {n_train}/{n_test} differ by more than 1")
+        raise DatasetIntegrityError(
+            f"{source}: split sizes {n_train}/{n_test} differ by more than 1"
+        )
 
 
 def load_split_grids(manifest_path, split: str):
     """(cover DctGrids, stego DctGrids) for one split, pair-aligned."""
     manifest_path = Path(manifest_path)
     manifest = read_manifest(manifest_path)
-    audit_manifest(manifest)
+    audit_manifest(manifest, manifest_path)
     base = manifest_path.parent
     records = manifest.split(split)
     if not records:
-        raise DatasetIntegrityError(f"manifest has no {split!r} records")
+        raise DatasetIntegrityError(f"{manifest_path}: no {split!r} records")
     covers = [read_jcg(base / r.cover_path) for r in records]
     stegos = [read_jcg(base / r.stego_path) for r in records]
     return covers, stegos

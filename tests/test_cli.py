@@ -79,6 +79,16 @@ class TestMakeDataset:
         )
         assert code == 2  # surfaced as "no .pgm covers found"
 
+    def test_corrupt_cover_exits_2_naming_the_file(self, tmp_path, capsys):
+        covers = tmp_path / "covers"
+        covers.mkdir()
+        (covers / "cut.pgm").write_bytes(b"P5\n2")
+        code, _, err = run(
+            ["make-dataset", "--covers", str(covers), "--out", str(tmp_path / "o")], capsys
+        )
+        assert code == 2
+        assert str(covers / "cut.pgm") in err and "height" in err
+
 
 class TestTrain:
     def test_outputs_exist(self, trained_dir, capsys):

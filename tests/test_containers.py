@@ -97,3 +97,22 @@ class TestPgm:
     def test_out_of_range_values_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             containers.write_pgm(tmp_path / "o.pgm", np.full((4, 4), 300))
+
+    @pytest.mark.parametrize("data, field", [
+        (b"P5\n2", "height"),
+        (b"P5\n2 2", "maxval"),
+        (b"P5\nx 2\n255\n" + bytes(4), "width"),
+        (b"P5\n-2 2\n255\n" + bytes(4), "width: must be positive"),
+        (b"P5\n2 0\n255\n", "height: must be positive"),
+        (b"P5\n2 2\n65535\n" + bytes(8), "maxval"),
+        (b"P5\n2 2\n255\n" + bytes(3), "pixels: expected 4 bytes for 2x2, found 3"),
+        (b"P5\n2 2\n255\n" + bytes(5), "pixels: expected 4 bytes for 2x2, found 5"),
+        (b"P5\n2 2\n255", "pixels: expected 4 bytes for 2x2, found 0"),
+    ], ids=["cut-after-width", "cut-after-height", "not-an-int", "negative-width",
+            "zero-height", "16-bit", "truncated", "trailing-bytes", "no-payload"])
+    def test_corrupt_header_or_payload_names_file_and_field(self, data, field, tmp_path):
+        path = tmp_path / "bad.pgm"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=field) as exc:
+            containers.read_pgm(path)
+        assert str(path) in str(exc.value)

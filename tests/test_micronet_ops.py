@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from stegokit.micronet import ops
+from stegokit.micronet.layers import Conv2d
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -175,21 +176,142 @@ class TestConvBackward:
         b = rng.normal(size=4)
         x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         assert not x_cl.flags.c_contiguous
-        out, cols = ops.conv2d_forward(x, w, b, stride, pad, return_cols=True)
+        out = ops.conv2d_forward(x, w, b, stride, pad)
         out_cl = ops.conv2d_forward(x_cl, w, b, stride, pad)
         assert np.array_equal(out, out_cl)
         g = rng.normal(size=out.shape)
         g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
         expect = ops.conv2d_backward(x, w, g, stride, pad)
-        for got in (
-            ops.conv2d_backward(x_cl, w, g_cl, stride, pad),
-            ops.conv2d_backward(x.shape, w, g_cl, stride, pad, cols=cols),
-        ):
-            for e, a in zip(expect, got):
-                assert np.array_equal(e, a)
-        gx, gw, gb = ops.conv2d_backward(x.shape, w, g, stride, pad, cols=cols, input_grad=False)
+        for e, a in zip(expect, ops.conv2d_backward(x_cl, w, g_cl, stride, pad)):
+            assert np.array_equal(e, a)
+        gx, gw, gb = ops.conv2d_backward(x_cl, w, g_cl, stride, pad, input_grad=False)
         assert gx is None
         assert np.array_equal(gw, expect[1]) and np.array_equal(gb, expect[2])
+
+
+# (branch, stride, pad) -> CHUNK_ROWS that splits a (5, 2, 8, 8) input convolved
+# by a 3x3 kernel into several chunks with a short last one: two whole images
+# per chunk (5 = 2 + 2 + 1), or bands of oh // 2 + 1 output rows of one image.
+CHUNKED_CASES = [
+    (branch, stride, pad)
+    for branch in ("images", "rows")
+    for stride, pad in ((1, 0), (1, 1), (2, 1), (2, 2))
+]
+
+
+def chunk_rows_for(branch, oh, ow):
+    return 2 * oh * ow + 1 if branch == "images" else (oh // 2 + 1) * ow
+
+
+def chunked_case(branch, stride, pad, dtype=np.float64):
+    rng = np.random.default_rng(20)
+    x = rng.normal(size=(5, 2, 8, 8)).astype(dtype)
+    w = rng.normal(size=(3, 2, 3, 3)).astype(dtype)
+    b = rng.normal(size=3).astype(dtype)
+    oh = ops.conv_out_size(8, 3, stride, pad)
+    return x, w, b, chunk_rows_for(branch, oh, oh)
+
+
+@pytest.mark.parametrize("branch,stride,pad", CHUNKED_CASES)
+class TestChunkedConv:
+    """Inputs whose patch matrix spans several CHUNK_ROWS chunks."""
+
+    def test_chunks_cover_the_patch_matrix(self, branch, stride, pad, monkeypatch):
+        x, w, b, chunk_rows = chunked_case(branch, stride, pad)
+        monkeypatch.setattr(ops, "CHUNK_ROWS", chunk_rows)
+        seen = []
+        real_im2col = ops.im2col
+
+        def spy(xs, kernel, s, p):
+            cols, oh, ow = real_im2col(xs, kernel, s, p)
+            seen.append((xs.shape[0], oh, cols.shape[0]))
+            return cols, oh, ow
+
+        monkeypatch.setattr(ops, "im2col", spy)
+        out = ops.conv2d_forward(x, w, b, stride, pad)
+        n, _, oh, ow = out.shape
+        assert sum(rows for _, _, rows in seen) == n * oh * ow
+        assert len(seen) > 2 and all(rows <= chunk_rows for _, _, rows in seen)
+        assert seen[-1][2] < seen[0][2]  # a short tail chunk
+        if branch == "images":
+            assert [imgs for imgs, _, _ in seen] == [2, 2, 1]
+        else:
+            assert all(imgs == 1 for imgs, _, _ in seen)
+            assert seen[0][1] == oh // 2 + 1 and seen[1][1] == oh - seen[0][1]
+
+    def test_forward_matches_naive_reference(self, branch, stride, pad, monkeypatch):
+        x, w, b, chunk_rows = chunked_case(branch, stride, pad)
+        monkeypatch.setattr(ops, "CHUNK_ROWS", chunk_rows)
+        ours = ops.conv2d_forward(x, w, b, stride, pad)
+        assert np.abs(ours - naive_conv2d(x, w, b, stride, pad)).max() < 1e-10
+
+    def test_finite_difference_agreement(self, branch, stride, pad, monkeypatch):
+        x, w, b, chunk_rows = chunked_case(branch, stride, pad)
+        monkeypatch.setattr(ops, "CHUNK_ROWS", chunk_rows)
+        proj = np.random.default_rng(21).normal(
+            size=ops.conv2d_forward(x, w, b, stride, pad).shape
+        )
+
+        def loss():
+            return float((ops.conv2d_forward(x, w, b, stride, pad) * proj).sum())
+
+        gx, gw, gb = ops.conv2d_backward(x, w, proj.copy(), stride, pad)
+        assert rel_close(gx, numeric_grad(loss, x, h=1e-4))
+        assert rel_close(gw, numeric_grad(loss, w, h=1e-4))
+        assert rel_close(gb, numeric_grad(loss, b, h=1e-4))
+
+    def test_matches_single_chunk_in_f32(self, branch, stride, pad, monkeypatch):
+        x, w, b, chunk_rows = chunked_case(branch, stride, pad, np.float32)
+        g = np.random.default_rng(22).normal(
+            size=ops.conv2d_forward(x, w, b, stride, pad).shape
+        ).astype(np.float32)
+        monkeypatch.setattr(ops, "CHUNK_ROWS", 1 << 30)
+        whole = (ops.conv2d_forward(x, w, b, stride, pad),) + ops.conv2d_backward(
+            x, w, g, stride, pad
+        )
+        monkeypatch.setattr(ops, "CHUNK_ROWS", chunk_rows)
+        chunked = (ops.conv2d_forward(x, w, b, stride, pad),) + ops.conv2d_backward(
+            x, w, g, stride, pad
+        )
+        # forward rows are independent of the chunking; the gradients only
+        # sum their chunk shares in another order
+        assert np.array_equal(whole[0], chunked[0])
+        for e, a in zip(whole[1:], chunked[1:]):
+            assert a.dtype == np.float32
+            np.testing.assert_allclose(a, e, rtol=1e-5, atol=1e-5 * np.abs(e).max())
+
+
+class TestConvLayer:
+    def held_arrays(self, layer):
+        """Arrays on the layer other than its parameters and their gradients."""
+        params = set(layer.param_names()) | {"gw", "gb"}
+        return {
+            name: value
+            for name, value in vars(layer).items()
+            if isinstance(value, np.ndarray) and name not in params
+        }
+
+    def test_training_caches_only_the_input(self, monkeypatch):
+        # 5x5 kernel, 4 channels, stride 2: the whole patch matrix is 6.25 times x
+        monkeypatch.setattr(ops, "CHUNK_ROWS", 64)
+        x = np.random.default_rng(23).normal(size=(3, 4, 12, 12)).astype(np.float32)
+        layer = Conv2d(4, 6, 5, stride=2, pad=2)
+        out = layer.forward(x, training=True)
+        held = self.held_arrays(layer)
+        assert held and all(a.nbytes <= x.nbytes for a in held.values())
+        g = np.random.default_rng(24).normal(size=out.shape).astype(np.float32)
+        grad_x = layer.backward(g)
+        expect = ops.conv2d_backward(x, layer.w, g, 2, 2)
+        for e, a in zip(expect, (grad_x, layer.gw, layer.gb)):
+            assert np.array_equal(e, a)
+        assert self.held_arrays(layer) == {}
+
+    def test_eval_caches_nothing(self):
+        x = np.random.default_rng(25).normal(size=(2, 4, 12, 12)).astype(np.float32)
+        layer = Conv2d(4, 6, 5, stride=2, pad=2)
+        layer.forward(x, training=True)
+        layer.forward(x)
+        assert self.held_arrays(layer) == {}
 
 
 class TestBatchNorm:

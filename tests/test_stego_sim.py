@@ -230,6 +230,24 @@ class TestManifest:
             read_manifest(path)
         assert str(path) in str(exc.value)
 
+    def test_empty_manifest_is_an_integrity_error(self, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        path.write_text("")
+        with pytest.raises(DatasetIntegrityError, match="empty manifest") as exc:
+            read_manifest(path)
+        assert str(path) in str(exc.value)
+
+    def test_duplicate_pair_id_names_file_and_id(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        manifest = DatasetManifest(config={}, records=(
+            PairRecord("covers/a.jcg", "stegos/a.jcg", 7, "train"),
+            PairRecord("covers/b.jcg", "stegos/b.jcg", 7, "test"),
+        ))
+        write_manifest(path, manifest)
+        with pytest.raises(DatasetIntegrityError, match="duplicate pair_id 7") as exc:
+            stego_sim.load_split_grids(path, "train")
+        assert str(path) in str(exc.value)
+
     def test_audit_detects_duplicated_cover_across_splits(self):
         records = (
             PairRecord("covers/a.jcg", "stegos/a.jcg", 0, "train"),
