@@ -16,6 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import codec
+from .containers import read_jcg
 from .micronet.checkpoint import load_checkpoint
 from .micronet.model import BASE_WIDTHS, ConfigError, HybridConfig, HybridModel, scaled_config
 from .propositions import (
@@ -37,6 +38,7 @@ from .residual import (
 from .stego_sim import (
     DatasetIntegrityError,
     EmbedSpec,
+    audit_manifest,
     build_dataset,
     load_covers_dir,
     load_split_grids,
@@ -213,6 +215,7 @@ def cmd_ensemble(args) -> int:
 
 def cmd_verify_prop1(args) -> int:
     manifest = read_manifest(args.data)
+    audit_manifest(manifest, args.data)
     base = Path(args.data).parent
     records = list(manifest.records) if args.split == "all" else manifest.split(args.split)
     if args.limit:
@@ -224,18 +227,19 @@ def cmd_verify_prop1(args) -> int:
     kern = np.random.default_rng(args.kernel_seed).normal(size=(k, k))
     kern /= np.sqrt((kern**2).sum())
 
-    from .containers import read_jcg
-    from .codec import StegoNoiseGrid, noise_to_spatial
-
     hists, gaps, medians = [], [], []
     for rec in records:
         cover_grid = read_jcg(base / rec.cover_path)
         stego_grid = read_jcg(base / rec.stego_path)
-        noise_grid = StegoNoiseGrid(
-            coeffs=stego_grid.coeffs.astype(np.int32) - cover_grid.coeffs.astype(np.int32)
-        )
+        try:
+            noise_grid = codec.StegoNoiseGrid(
+                np.subtract(stego_grid.coeffs, cover_grid.coeffs, dtype=np.int32))
+        except ValueError:
+            raise DatasetIntegrityError(
+                f"{args.data}: pair_id {rec.pair_id}: stego is not its cover +-1"
+            ) from None
         cover_plane = codec.decompress(cover_grid)
-        noise_plane = noise_to_spatial(noise_grid, cover_grid.quant_table)
+        noise_plane = codec.noise_to_spatial(noise_grid, cover_grid.quant_table)
         try:
             hists.append(ratio_histogram(cover_plane, noise_plane))
         except ValueError:

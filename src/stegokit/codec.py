@@ -73,14 +73,6 @@ class DctGrid:
         object.__setattr__(self, "coeffs", _frozen(coeffs, np.int16))
         object.__setattr__(self, "quant_table", _frozen(qt, np.uint16))
 
-    @property
-    def height(self) -> int:
-        return self.coeffs.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.coeffs.shape[1]
-
 
 @dataclass(frozen=True)
 class ImagePlane:
@@ -95,14 +87,6 @@ class ImagePlane:
         if not np.all(np.isfinite(values)):
             raise ValueError("values must be finite")
         object.__setattr__(self, "values", _frozen(values, np.float64))
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(frozen=True)
@@ -184,4 +168,4 @@ def noise_to_spatial(noise: StegoNoiseGrid, quant_table: np.ndarray) -> ImagePla
     if qt.shape != (BLOCK, BLOCK):
         raise ValueError("quant_table must be 8x8")
     blocks = to_blocks(noise.coeffs.astype(np.float64)) * qt
-    return ImagePlane(from_blocks(_A8.T @ blocks @ _A8))
+    return ImagePlane(idct_blocks(from_blocks(blocks)))

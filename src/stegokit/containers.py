@@ -22,7 +22,7 @@ def write_jcg(path, grid: DctGrid) -> None:
     payload = np.ascontiguousarray(blocks, dtype="<i2").tobytes()
     with open(path, "wb") as fh:
         fh.write(JCG_MAGIC)
-        fh.write(struct.pack("<II", grid.width, grid.height))
+        fh.write(struct.pack("<II", grid.coeffs.shape[1], grid.coeffs.shape[0]))
         fh.write(grid.quant_table.astype("<u2").tobytes())
         fh.write(payload)
 

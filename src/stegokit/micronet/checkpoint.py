@@ -50,10 +50,10 @@ def save_checkpoint(model: HybridModel, path, iteration: int = 0) -> None:
 def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
     """Rebuild the model skeleton from the header and fill in its arrays.
 
-    Returns (model, header); the model comes back in eval mode. The header
-    must hold every key and architecture field, its records must name the
-    model's arrays in model order with their shapes, and the blobs must end
-    exactly at the end of the file; any other file raises
+    Returns (model, header). The header must hold every key and
+    architecture field, its records must name the model's arrays in model
+    order with their shapes, every blob must be finite, and the blobs must
+    end exactly at the end of the file; any other file raises
     ValueError("<path>: <field>: ...").
     """
     data = Path(path).read_bytes()
@@ -100,8 +100,10 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
         if offset + 4 * count > len(data):
             raise ValueError(f"{path}: layers: blob of {name} is truncated")
         values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(values).all():
+            raise ValueError(f"{path}: layers: {name}: non-finite values")
         offset += 4 * count
         setattr(layer, attr, values.reshape(shape).astype(dtype))
     if offset != len(data):
         raise ValueError(f"{path}: layers: {len(data) - offset} bytes after the last blob")
-    return model.eval_mode(), header
+    return model, header

@@ -13,7 +13,6 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from ..residual import DEFAULT_QT_SPECS
-from . import ops
 from .layers import AvgPool2d, BatchNorm2d, Conv2d, Dense, Flatten, ReLU, Sequential
 
 HEAD_WIDTHS = (800, 400, 200)
@@ -137,8 +136,6 @@ class HybridModel:
     def __init__(self, config: HybridConfig, seed: int = 0, dtype=np.float32):
         self.config = config
         self.seed = seed
-        self.dtype = dtype
-        self.training = True
         rng = np.random.default_rng([seed, 0])
         self.subnets = [build_subnet(config, rng, dtype) for _ in range(config.n_groups)]
         in_shape = (1, config.kernel_size**2, config.input_size, config.input_size)
@@ -151,23 +148,14 @@ class HybridModel:
         head_layers.append(("logits", Dense(width_in, N_CLASSES, rng, dtype)))
         self.head = Sequential(head_layers)
 
-    # -- mode ---------------------------------------------------------------
-    def train_mode(self):
-        self.training = True
-        return self
-
-    def eval_mode(self):
-        self.training = False
-        return self
-
     # -- passes ---------------------------------------------------------------
-    def forward(self, groups, training: bool | None = None) -> np.ndarray:
-        """groups: one (N, k*k, H, W) array per Q&T group -> logits (N, 2)."""
+    def forward(self, groups, training: bool = False) -> np.ndarray:
+        """groups: one (N, k*k, H, W) array per Q&T group -> logits (N, 2).
+        Eval mode (BN reads, and keeps, its running stats) unless ``training``."""
         if len(groups) != len(self.subnets):
             raise ValueError(
                 f"model expects {len(self.subnets)} residual groups, got {len(groups)}"
             )
-        training = self.training if training is None else training
         feats = [net.forward(g, training) for net, g in zip(self.subnets, groups)]
         return self.head.forward(np.concatenate(feats, axis=1), training)
 
@@ -177,11 +165,8 @@ class HybridModel:
         for net, g in zip(self.subnets, splits):
             net.backward(np.ascontiguousarray(g))
 
-    def predict_proba(self, groups) -> np.ndarray:
-        return ops.softmax(self.forward(groups, training=False))
-
     def predict(self, groups) -> np.ndarray:
-        return np.argmax(self.forward(groups, training=False), axis=1)
+        return np.argmax(self.forward(groups), axis=1)
 
     # -- parameter plumbing ----------------------------------------------------
     def named_layers(self):

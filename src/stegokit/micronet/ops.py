@@ -1,13 +1,13 @@
 """Forward/backward primitives on (batch, channels, height, width) arrays.
 
-Everything is plain numpy. Convolution goes through one strided
-patch-extraction helper (im2col) so the heavy lifting is GEMMs. It walks
-the output in chunks of about CHUNK_ROWS patch-matrix rows, building each
-chunk's patches and consuming them at once, so the whole patch matrix
-(k*k times the input) never exists; backward rebuilds the patches from the
-input, which is all a conv layer keeps for it. Average pooling sums shifted
-strided slices, or reshapes and takes the mean where the windows tile the
-input exactly.
+Everything is plain numpy. Convolution pads its input and views it
+channels-last once; im2col reads patches from that layout so the heavy
+lifting is GEMMs, and col2im is its adjoint. It walks the output in chunks of
+about CHUNK_ROWS patch-matrix rows, building each chunk's patches and
+consuming them at once, so the whole patch matrix (k*k times the input) never
+exists; backward rebuilds the patches from the input, which is all a conv
+layer keeps for it. Average pooling sums shifted strided slices, or reshapes
+and takes the mean where the windows tile the input exactly.
 """
 
 from __future__ import annotations
@@ -36,22 +36,19 @@ def _padded_channels_last(x: np.ndarray, pad: int) -> np.ndarray:
     return np.pad(x, ((0, 0), (pad, pad), (pad, pad), (0, 0))) if pad else x
 
 
-def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> tuple[np.ndarray, int, int]:
-    """(N, C, H, W) -> ((N*OH*OW, k*k*C) patch matrix, OH, OW).
+def im2col(xp: np.ndarray, kernel: int, stride: int) -> tuple[np.ndarray, int, int]:
+    """Padded channels-last (N, Hp, Wp, C) -> ((N*OH*OW, k*k*C) patch matrix, OH, OW).
 
     Columns are in (u, v, c) order: column ``(u*k + v)*C + c`` of row
-    ``(n*OH + i)*OW + j`` holds ``x[n, c, i*s + u - pad, j*s + v - pad]``.
-    The patches are read from a channels-last view of ``x``, so each kernel
-    row is one contiguous run of ``k*C`` values; the padding copy, where
-    there is one, also does the layout change.
+    ``(n*OH + i)*OW + j`` holds ``xp[n, i*s + u, j*s + v, c]``, so each
+    kernel row is one contiguous run of ``k*C`` values of ``xp``.
     """
-    n, c, h, w = x.shape
-    oh = conv_out_size(h, kernel, stride, pad)
-    ow = conv_out_size(w, kernel, stride, pad)
-    x = _padded_channels_last(x, pad)
-    sn, sh, sw, sc = x.strides
+    n, hp, wp, c = xp.shape
+    oh = conv_out_size(hp, kernel, stride, 0)
+    ow = conv_out_size(wp, kernel, stride, 0)
+    sn, sh, sw, sc = xp.strides
     patches = np.lib.stride_tricks.as_strided(
-        x,
+        xp,
         shape=(n, oh, ow, kernel, kernel, c),
         strides=(sn, sh * stride, sw * stride, sh, sw, sc),
         writeable=False,
@@ -60,21 +57,17 @@ def im2col(x: np.ndarray, kernel: int, stride: int, pad: int) -> tuple[np.ndarra
 
 
 def col2im(
-    cols: np.ndarray, x_shape: tuple, kernel: int, stride: int, pad: int, oh: int, ow: int
+    cols: np.ndarray, xp_shape: tuple, kernel: int, stride: int, oh: int, ow: int
 ) -> np.ndarray:
-    """Scatter-add patch-matrix gradients back onto the input, adjoint of im2col.
-
-    Returns an (N, C, H, W)-shaped view of a channels-last buffer.
-    """
-    n, c, h, w = x_shape
+    """Scatter-add patch-matrix gradients back onto a (N, Hp, Wp, C) slab of
+    shape ``xp_shape``: the adjoint of im2col."""
+    n, _, _, c = xp_shape
     grads = cols.reshape(n, oh, ow, kernel, kernel, c)
-    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=cols.dtype)
+    gx = np.zeros(xp_shape, dtype=cols.dtype)
     for u in range(kernel):
         for v in range(kernel):
-            gx[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += grads[
-                :, :, :, u, v
-            ]
-    return gx[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
+            gx[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += grads[..., u, v, :]
+    return gx
 
 
 def _weight_matrix(w: np.ndarray) -> np.ndarray:
@@ -123,7 +116,7 @@ def conv2d_forward(
     out = np.empty((n, oh, ow, w.shape[0]), dtype=np.result_type(x.dtype, w.dtype))
     rows_out = out.reshape(n * oh * ow, -1)
     for rows, slab in _chunks(n, oh, ow, kernel, stride):
-        cols, _, _ = im2col(xp[slab].transpose(0, 3, 1, 2), kernel, stride, 0)
+        cols, _, _ = im2col(xp[slab], kernel, stride)
         np.matmul(cols, wt, out=rows_out[rows])
     if b is not None:
         out += b
@@ -166,14 +159,11 @@ def conv2d_backward(
     if input_grad:
         grad_xp = np.zeros(xp.shape, dtype=np.result_type(grad_out.dtype, w.dtype))
     for rows, slab in _chunks(n, oh, ow, kernel, stride):
-        xs = xp[slab].transpose(0, 3, 1, 2)
-        cols, chunk_oh, _ = im2col(xs, kernel, stride, 0)
+        xs = xp[slab]
+        cols, chunk_oh, _ = im2col(xs, kernel, stride)
         grad_w += gom[rows].T @ cols
         if input_grad:
-            grad_cols = gom[rows] @ wm
-            grad_xp[slab] += col2im(
-                grad_cols, xs.shape, kernel, stride, 0, chunk_oh, ow
-            ).transpose(0, 2, 3, 1)
+            grad_xp[slab] += col2im(gom[rows] @ wm, xs.shape, kernel, stride, chunk_oh, ow)
     grad_x = None
     if input_grad:
         h, wd = x.shape[2:]

@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .codec import dct_matrix
+
 SUPPORTED_KERNEL_SIZES = (3, 5, 8)
 
 
@@ -57,25 +59,11 @@ class KernelBank:
 
 
 def dct_basis(k: int) -> KernelBank:
-    """Orthonormal k x k DCT basis patterns, (k, l) lexicographic.
-
-    Size 8 uses the w_0 = 1/sqrt(2), w_k = 1 weights with divisor 4; sizes 3
-    and 5 use w_0 = 1, w_k = sqrt(2) with divisor k. Both conventions yield
-    the same orthonormal separable cosine family.
-    """
+    """Orthonormal k x k DCT basis patterns, (k, l) lexicographic: pattern
+    (a, b) is the outer product of rows a and b of codec.dct_matrix(k)."""
     if k not in SUPPORTED_KERNEL_SIZES:
         raise ValueError(f"kernel size must be one of {SUPPORTED_KERNEL_SIZES}, got {k}")
-    idx = np.arange(k).astype(np.float64)
-    if k == 8:
-        w = np.ones(k)
-        w[0] = 1.0 / np.sqrt(2.0)
-        rows = (w[:, None] / 2.0) * np.cos(np.pi * idx[:, None] * (2 * idx[None, :] + 1) / (2 * k))
-    else:
-        w = np.full(k, np.sqrt(2.0))
-        w[0] = 1.0
-        rows = (w[:, None] / np.sqrt(k)) * np.cos(
-            np.pi * idx[:, None] * (2 * idx[None, :] + 1) / (2 * k)
-        )
+    rows = dct_matrix(k)
     kernels = np.einsum("km,ln->klmn", rows, rows).reshape(k * k, k, k)
     labels = tuple((a, b) for a in range(k) for b in range(k))
     return KernelBank(size=k, kernels=kernels, labels=labels)

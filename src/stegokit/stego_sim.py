@@ -56,12 +56,9 @@ class DatasetManifest:
 
 def prepare_cover(pixels: np.ndarray, qf: int) -> DctGrid:
     """Blockwise DCT of an 8-bit grayscale plane, quantized for quality qf."""
-    pixels = np.asarray(pixels)
-    h, w = pixels.shape
-    if h % BLOCK or w % BLOCK:
-        raise ValueError(f"dimensions must be multiples of {BLOCK}, got {h}x{w}")
+    coeff = forward_dct_blocks(ImagePlane(pixels))
+    h, w = coeff.shape
     qt = quant_table_for_quality(qf)
-    coeff = forward_dct_blocks(ImagePlane(pixels.astype(np.float64)))
     scaled = coeff.reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK) / qt[None, :, None, :]
     quantized = np.sign(scaled) * np.floor(np.abs(scaled) + 0.5)
     return DctGrid(coeffs=quantized.reshape(h, w).astype(np.int16), quant_table=qt)

@@ -208,7 +208,6 @@ def train(
     start_time = time.monotonic()
     writer = _MetricsWriter(metrics_path, run_config) if metrics_path else None
 
-    model.train_mode()
     loss = float("nan")
     for iteration in range(cfg.max_iter):
         idx = next(batches)
@@ -224,7 +223,6 @@ def train(
         done = iteration + 1
         if done % cfg.eval_every == 0 or done == cfg.max_iter:
             acc, cover_acc, stego_acc = evaluate(model, front, test_split, cfg.batch_size)
-            model.train_mode()
             row = Metrics(
                 iteration=done,
                 train_loss=loss,
@@ -248,7 +246,6 @@ def train(
             save_checkpoint(model, f"{checkpoint_path}.iter{done}", iteration=done)
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path, iteration=metrics[-1].iteration if metrics else cfg.max_iter)
-    model.eval_mode()
     return metrics
 
 

@@ -322,6 +322,12 @@ def _drop_last_record(data: bytes) -> bytes:
     return _edit_header(data[:-size], lambda h: h["layers"].pop())
 
 
+def _nan_first_blob(data: bytes) -> bytes:
+    """The file with its first stored value replaced by a NaN."""
+    start = 8 + int.from_bytes(data[4:8], "little")
+    return data[:start] + np.float32("nan").astype("<f4").tobytes() + data[start + 4 :]
+
+
 def _rename_record(header):
     header["layers"][0]["name"] = "g0.b1.conv.x"
 
@@ -335,6 +341,7 @@ CORRUPTIONS = {
     "missing-arch-field": lambda d: _edit_header(d, lambda h: h["arch"].pop("widths")),
     "missing-header-key": lambda d: _edit_header(d, lambda h: h.pop("seed")),
     "bad-magic": lambda d: b"JUNK" + d[4:],
+    "non-finite": _nan_first_blob,
 }
 
 
@@ -375,6 +382,36 @@ class TestVerifyProp1:
     def test_missing_data_exits_3(self, tmp_path, capsys):
         code, _, _ = run(["verify-prop1", "--data", str(tmp_path / "x.jsonl")], capsys)
         assert code == 3
+
+    def _edited_manifest(self, dataset_dir, tmp_path, edit):
+        """A copy of the dataset's manifest, next to its files, with edit(records) applied."""
+        lines = (dataset_dir / "manifest.jsonl").read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        edit(records)
+        bad = dataset_dir / f"{tmp_path.name}.jsonl"
+        bad.write_text("\n".join([lines[0], *map(json.dumps, records)]) + "\n")
+        return bad
+
+    def test_duplicate_pair_ids_exit_4(self, dataset_dir, tmp_path, capsys):
+        def zero_ids(records):
+            for rec in records:
+                rec["pair_id"] = 0
+
+        bad = self._edited_manifest(dataset_dir, tmp_path, zero_ids)
+        code, _, err = run(["verify-prop1", "--data", str(bad)], capsys)
+        assert code == 4
+        assert f"{bad}: duplicate pair_id 0" in err
+
+    def test_swapped_stegos_exit_4_naming_the_pair(self, dataset_dir, tmp_path, capsys):
+        def swap(records):
+            records[0]["stego_path"], records[1]["stego_path"] = (
+                records[1]["stego_path"], records[0]["stego_path"])
+
+        bad = self._edited_manifest(dataset_dir, tmp_path, swap)
+        pair_id = json.loads(bad.read_text().splitlines()[1])["pair_id"]
+        code, _, err = run(["verify-prop1", "--data", str(bad)], capsys)
+        assert code == 4
+        assert f"{bad}: pair_id {pair_id}: stego is not its cover" in err
 
 
 class TestVerifyProp2:

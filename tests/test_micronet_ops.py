@@ -151,21 +151,22 @@ class TestConvBackward:
         rng = np.random.default_rng(5)
         x = rng.normal(size=(2, 3, 6, 6))
         for kernel, stride, pad in ((3, 2, 1), (3, 1, 0)):
-            cols, oh, ow = ops.im2col(x, kernel, stride, pad)
+            xp = np.pad(x.transpose(0, 2, 3, 1), ((0, 0), (pad, pad), (pad, pad), (0, 0)))
+            cols, oh, ow = ops.im2col(xp, kernel, stride)
             g = rng.normal(size=cols.shape)
-            back = ops.col2im(g, x.shape, kernel, stride, pad, oh, ow)
-            assert np.isclose((cols * g).sum(), (x * back).sum(), atol=1e-10)
+            back = ops.col2im(g, xp.shape, kernel, stride, oh, ow)
+            assert back.shape == xp.shape
+            assert np.isclose((cols * g).sum(), (xp * back).sum(), atol=1e-10)
 
     def test_im2col_columns_are_u_v_c(self):
         rng = np.random.default_rng(18)
-        x = rng.normal(size=(2, 3, 5, 5))
-        cols, oh, ow = ops.im2col(x, 3, 2, 0)
+        xp = rng.normal(size=(2, 5, 5, 3))
+        cols, oh, ow = ops.im2col(xp, 3, 2)
         patches = cols.reshape(2, oh, ow, 3, 3, 3)
         for u in range(3):
             for v in range(3):
                 assert np.array_equal(
-                    patches[:, :, :, u, v, :],
-                    x[:, :, u : u + 2 * oh : 2, v : v + 2 * ow : 2].transpose(0, 2, 3, 1),
+                    patches[:, :, :, u, v, :], xp[:, u : u + 2 * oh : 2, v : v + 2 * ow : 2]
                 )
 
     @pytest.mark.parametrize("stride,pad", [(1, 1), (2, 0)])
@@ -222,8 +223,8 @@ class TestChunkedConv:
         seen = []
         real_im2col = ops.im2col
 
-        def spy(xs, kernel, s, p):
-            cols, oh, ow = real_im2col(xs, kernel, s, p)
+        def spy(xs, kernel, s):
+            cols, oh, ow = real_im2col(xs, kernel, s)
             seen.append((xs.shape[0], oh, cols.shape[0]))
             return cols, oh, ow
 

@@ -83,7 +83,7 @@ class TestHybridModel:
         model = build_hybrid_model(tiny_config(), seed=0)
         rng = np.random.default_rng(0)
         groups = [rng.integers(-4, 5, (3, 25, 16, 16)).astype(np.float32) for _ in range(3)]
-        probs = model.predict_proba(groups)
+        probs = ops.softmax(model.forward(groups))
         assert probs.shape == (3, 2)
         assert np.abs(probs.sum(axis=1) - 1.0).max() < 1e-9
 
@@ -93,7 +93,7 @@ class TestHybridModel:
             getattr(layer, attr)[...] = 0.0
         rng = np.random.default_rng(1)
         groups = [rng.integers(-4, 5, (2, 25, 16, 16)).astype(np.float32) for _ in range(3)]
-        assert np.allclose(model.predict_proba(groups), 0.5)
+        assert np.array_equal(model.forward(groups), np.zeros((2, 2), np.float32))
 
     def test_group_count_mismatch_rejected(self):
         model = build_hybrid_model(tiny_config(), seed=0)
@@ -116,9 +116,28 @@ class TestHybridModel:
         model = build_hybrid_model(tiny_config(), seed=5)
         rng = np.random.default_rng(2)
         groups = [rng.normal(size=(2, 25, 16, 16)).astype(np.float32) for _ in range(3)]
-        a = model.predict_proba(groups)
-        b = model.predict_proba(groups)
+        a = model.forward(groups)
+        b = model.forward(groups)
         assert np.array_equal(a, b)
+
+    def test_forward_defaults_to_eval_mode(self):
+        model = build_hybrid_model(tiny_config(), seed=6)
+        rng = np.random.default_rng(10)
+        groups = [rng.normal(size=(2, 25, 16, 16)).astype(np.float32) for _ in range(3)]
+
+        def running_stats():
+            return [
+                getattr(layer, attr).copy()
+                for _, layer in model.named_layers()
+                for attr in layer.state_names()
+            ]
+
+        before = running_stats()
+        assert before
+        logits = model.forward(groups)
+        for was, now in zip(before, running_stats()):
+            assert np.array_equal(was, now)
+        assert np.array_equal(logits, model.forward(groups, training=False))
 
     def test_same_seed_same_init(self):
         a = build_hybrid_model(tiny_config(), seed=9)
@@ -133,20 +152,20 @@ class TestHybridForward:
         planes = rng.uniform(0, 255, (1, 16, 16))
         groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
         model = build_hybrid_model(tiny_config(), seed=0)
-        probs = model.predict_proba(groups)
-        assert probs.shape == (1, 2)
-        assert np.isclose(probs.sum(), 1.0)
+        logits = model.forward(groups)
+        assert logits.shape == (1, 2)
+        assert np.all(np.isfinite(logits))
 
     def test_batch_of_stacks(self):
         rng = np.random.default_rng(4)
         planes = rng.uniform(0, 255, (3, 16, 16))
         groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
         model = build_hybrid_model(tiny_config(), seed=0)
-        probs = model.predict_proba(groups)
-        assert probs.shape == (3, 2)
+        logits = model.forward(groups)
+        assert logits.shape == (3, 2)
         for i in range(3):
-            alone = model.predict_proba([g[i : i + 1] for g in groups])
-            assert np.allclose(alone[0], probs[i], atol=1e-6)
+            alone = model.forward([g[i : i + 1] for g in groups])
+            assert np.allclose(alone[0], logits[i], atol=1e-6)
 
 
 class TestFullModelGradients:
@@ -203,9 +222,9 @@ class TestCheckpoint:
             model.named_params(), loaded.named_params()
         ):
             assert np.allclose(getattr(la, aa), getattr(lb, ab), atol=1e-7), name
-        probs_a = model.predict_proba(groups)
-        probs_b = loaded.predict_proba(groups)
-        assert np.allclose(probs_a, probs_b, atol=1e-6)
+        logits_a = model.forward(groups, training=False)
+        logits_b = loaded.forward(groups, training=False)
+        assert np.allclose(logits_a, logits_b, atol=1e-6)
 
     def test_bn_running_stats_serialized(self, tmp_path):
         model = build_hybrid_model(tiny_config(), seed=4)

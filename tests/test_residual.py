@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stegokit.codec import dct_matrix
 from stegokit.residual import (
     DEFAULT_QT_SPECS,
     KernelBank,
@@ -76,6 +77,14 @@ class TestDctBasis:
         assert bank.labels[0] == (0, 0)
         assert bank.labels[-1] == (k - 1, k - 1)
         assert len(bank.labels) == k * k
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_patterns_are_outer_products_of_the_codec_dct(self, k):
+        # One DCT-II for the codec's blocks and the front end's kernels.
+        rows = dct_matrix(k)
+        bank = dct_basis(k)
+        for (a, b), kernel in zip(bank.labels, bank.kernels):
+            assert np.array_equal(kernel, np.outer(rows[a], rows[b])), (a, b)
 
     @pytest.mark.parametrize("k", [2, 4, 7, 16])
     def test_unsupported_size_rejected(self, k):
