@@ -191,22 +191,24 @@ def cmd_ensemble(args) -> int:
     n = len(args.checkpoints)
     if n < 3 or n % 2 == 0:
         raise ValueError(f"ensemble needs an odd number (>= 3) of checkpoints, got {n}")
+    models = [load_checkpoint(ck)[0] for ck in args.checkpoints]
     split = _load_planes(args.data, args.split)
     labels = np.concatenate([np.zeros(len(split), np.int64), np.ones(len(split), np.int64)])
     planes = np.concatenate([split.covers, split.stegos])
-    votes, singles = [], []
-    for ck in args.checkpoints:
-        model, _ = load_checkpoint(ck)
-        preds = predict(model, _front_for(model.config), planes, args.batch_size)
-        votes.append(preds)
-        singles.append(float((preds == labels).mean()))
-    voted = ensemble_vote(np.stack(votes))
+    # Checkpoints with the same front end share its groups, batch by batch.
+    by_front: dict = {}
+    for i, model in enumerate(models):
+        by_front.setdefault((model.config.kernel_size, model.config.qt_labels), []).append(i)
+    votes = np.empty((n, len(planes)), np.int64)
+    for members in by_front.values():
+        front = _front_for(models[members[0]].config)
+        votes[members] = predict([models[i] for i in members], front, planes, args.batch_size)
     _emit(
         {
             "config": {"checkpoints": [str(c) for c in args.checkpoints],
                        "data": str(args.data), "split": args.split},
-            "ensemble_accuracy": float((voted == labels).mean()),
-            "single_accuracies": singles,
+            "ensemble_accuracy": float((ensemble_vote(votes) == labels).mean()),
+            "single_accuracies": [float((v == labels).mean()) for v in votes],
             "pairs": len(split),
         }
     )

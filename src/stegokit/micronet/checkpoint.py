@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HybridConfig, HybridModel
+from .model import HybridConfig, HybridModel, stored_values
 
 MAGIC = b"SKPT"
 FORMAT_VERSION = 1
@@ -51,10 +51,10 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
     """Rebuild the model skeleton from the header and fill in its arrays.
 
     Returns (model, header). The header must hold every key and
-    architecture field, its records must name the model's arrays in model
-    order with their shapes, every blob must be finite, and the blobs must
-    end exactly at the end of the file; any other file raises
-    ValueError("<path>: <field>: ...").
+    architecture field, the arrays the architecture implies must fill the
+    rest of the file (checked before the model is built), the records must
+    name them in model order with their shapes, and every blob must be
+    finite; any other file raises ValueError("<path>: <field>: ...").
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -72,7 +72,11 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
     if header["format"] != FORMAT_VERSION:
         raise ValueError(f"{path}: format: unsupported checkpoint format {header['format']}")
     try:
-        model = HybridModel(HybridConfig.from_json_dict(header["arch"]), header["seed"], dtype)
+        config = HybridConfig.from_json_dict(header["arch"])
+        claimed, held = 4 * stored_values(config), len(data) - 8 - length
+        if claimed != held:
+            raise ValueError(f"its arrays take {claimed} bytes, the file holds {held}")
+        model = HybridModel(config, header["seed"], dtype)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: arch: {exc}") from None
 
@@ -97,13 +101,9 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
                 f"the model expects {list(shape)}"
             )
         count = int(np.prod(shape))
-        if offset + 4 * count > len(data):
-            raise ValueError(f"{path}: layers: blob of {name} is truncated")
         values = np.frombuffer(data, dtype="<f4", count=count, offset=offset)
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: layers: {name}: non-finite values")
         offset += 4 * count
         setattr(layer, attr, values.reshape(shape).astype(dtype))
-    if offset != len(data):
-        raise ValueError(f"{path}: layers: {len(data) - offset} bytes after the last blob")
     return model, header

@@ -18,7 +18,12 @@ from .layers import AvgPool2d, BatchNorm2d, Conv2d, Dense, Flatten, ReLU, Sequen
 HEAD_WIDTHS = (800, 400, 200)
 #: Conv widths of each subnet variant at width scale 1.
 BASE_WIDTHS = {"type1": (16, 64, 512), "type2": (16, 32, 128)}
+#: Kernel sizes of each subnet variant's three convs.
+CONV_KERNELS = {"type1": (5, 3, 1), "type2": (5, 3, 3)}
 N_CLASSES = 2
+#: Largest input side, stride and layer width a config may name: far beyond
+#: what this code trains, and a bound on what a checkpoint header can claim.
+MAX_SIZE = 8192
 
 
 class ConfigError(ValueError):
@@ -43,6 +48,11 @@ class HybridConfig:
             raise ConfigError(f"unknown subnet variant {self.variant!r}")
         if len(self.widths) != 3:
             raise ConfigError("exactly three conv widths required")
+        for name in ("input_size", "first_stride", "widths", "head_widths"):
+            value = getattr(self, name)
+            if not all(isinstance(v, int) and 1 <= v <= MAX_SIZE
+                       for v in (value if isinstance(value, tuple) else (value,))):
+                raise ConfigError(f"{name} must be integers in [1, {MAX_SIZE}], got {value!r}")
 
     @property
     def n_groups(self) -> int:
@@ -107,24 +117,39 @@ def build_subnet(config: HybridConfig, rng=None, dtype=np.float32) -> Sequential
     c = config.kernel_size**2
     in_shape = (1, c, config.input_size, config.input_size)
     w1, w2, w3 = config.widths
+    k1, k2, k3 = CONV_KERNELS[config.variant]
     bn = config.use_bn
-    layers = _conv_block("b1", c, w1, 5, config.first_stride, 2, bn, rng, dtype, input_grad=False)
+    layers = _conv_block("b1", c, w1, k1, config.first_stride, 2, bn, rng, dtype, input_grad=False)
     if config.variant == "type1":
-        layers += _conv_block("b2", w1, w2, 3, 2, 1, bn, rng, dtype)
-        layers += _conv_block("b3", w2, w3, 1, 2, 0, bn, rng, dtype)
+        layers += _conv_block("b2", w1, w2, k2, 2, 1, bn, rng, dtype)
+        layers += _conv_block("b3", w2, w3, k3, 2, 0, bn, rng, dtype)
         spatial = Sequential(layers).out_shape(in_shape)[2]
         layers.append(("pool", AvgPool2d(spatial)))
     else:
         layers.append(("pool1", AvgPool2d(3, stride=2, pad=1)))
-        layers += _conv_block("b2", w1, w2, 3, 1, 1, bn, rng, dtype)
+        layers += _conv_block("b2", w1, w2, k2, 1, 1, bn, rng, dtype)
         layers.append(("pool2", AvgPool2d(3, stride=2, pad=1)))
-        layers += _conv_block("b3", w2, w3, 3, 2, 1, bn, rng, dtype)
+        layers += _conv_block("b3", w2, w3, k3, 2, 1, bn, rng, dtype)
         spatial = Sequential(layers).out_shape(in_shape)[2]
         if spatial % 2:
             raise ConfigError(f"type2 spatial size {spatial} not reducible to 2x2")
         layers.append(("pool3", AvgPool2d(spatial // 2)))
     layers.append(("flatten", Flatten()))
     return Sequential(layers)
+
+
+def stored_values(config: HybridConfig) -> int:
+    """Count of the parameters and BN running statistics of a model of config,
+    from config alone: a checkpoint's claim is checked before allocating."""
+    w1, w2, w3 = config.widths
+    k1, k2, k3 = CONV_KERNELS[config.variant]
+    per_channel = 5 if config.use_bn else 1  # conv bias; BN gamma, beta, mean, var
+    convs = config.kernel_size**2 * w1 * k1 * k1 + w1 * w2 * k2 * k2 + w2 * w3 * k3 * k3
+    total = config.n_groups * (convs + per_channel * (w1 + w2 + w3))
+    width = config.n_groups * w3 * (1 if config.variant == "type1" else 4)  # 1x1 or 2x2 pool
+    for out in (*config.head_widths, N_CLASSES):
+        total, width = total + (width + 1) * out, out
+    return total
 
 
 class HybridModel:

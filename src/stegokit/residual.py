@@ -69,37 +69,22 @@ def dct_basis(k: int) -> KernelBank:
     return KernelBank(size=k, kernels=kernels, labels=labels)
 
 
-def _pad_amounts(k: int) -> tuple[int, int]:
-    """Same-padding split: symmetric for odd k; 3 left/top, 4 right/bottom for k=8."""
-    if k % 2:
-        return (k - 1) // 2, (k - 1) // 2
-    return k // 2 - 1, k // 2
+def convolve_batch(padded: np.ndarray, bank: KernelBank) -> np.ndarray:
+    """Cross-correlate a batch of padded planes with every kernel in the bank.
 
-
-def convolve_batch(planes: np.ndarray, bank: KernelBank) -> np.ndarray:
-    """Cross-correlate a batch of planes with every kernel in the bank.
-
-    planes: (n, H, W) real; returns (n, k*k, H, W) with same-padding, stride 1.
+    padded: (n, H+k-1, W+k-1) real, already same-padded; returns the
+    (n, H, W, k*k) channels-last responses at stride 1, from one GEMM.
     """
-    planes = np.asarray(planes)
-    n, h, w = planes.shape
+    padded = np.asarray(padded)
+    n, hp, wp = padded.shape
     k = bank.size
-    if h < k or w < k:
-        raise ValueError(f"plane {h}x{w} is smaller than the {k}x{k} kernels")
-    lo, hi = _pad_amounts(k)
-    padded = np.pad(planes, ((0, 0), (lo, hi), (lo, hi)))
+    h, w = hp - k + 1, wp - k + 1
     sn, sh, sw = padded.strides
     patches = np.lib.stride_tricks.as_strided(
         padded, shape=(n, h, w, k, k), strides=(sn, sh, sw, sh, sw), writeable=False
     )
-    kmat = bank.kernels.reshape(k * k, k * k).astype(planes.dtype, copy=False)
-    # Per-image GEMM keeps the (n, k*k, H, W) result C-contiguous without a
-    # transpose pass.
-    out = np.empty((n, k * k, h, w), dtype=planes.dtype)
-    for i in range(n):
-        cols = patches[i].reshape(h * w, k * k)
-        out[i] = (kmat @ cols.T).reshape(k * k, h, w)
-    return out
+    kmat = bank.kernels.reshape(k * k, k * k).astype(padded.dtype, copy=False)
+    return (patches.reshape(n * h * w, k * k) @ kmat.T).reshape(n, h, w, k * k)
 
 
 def quantize_truncate(values: np.ndarray, spec: QtSpec) -> np.ndarray:
@@ -120,16 +105,28 @@ def quantize_truncate(values: np.ndarray, spec: QtSpec) -> np.ndarray:
 
 
 def front_stage_batch(planes: np.ndarray, bank: KernelBank, specs, dtype=np.float32) -> list:
-    """Convolve once, then quantize/truncate per spec (spec-major ordering).
+    """Convolve in ``dtype``, then quantize/truncate per spec (spec-major).
 
-    planes: (n, H, W); returns one (n, k*k, H, W) array per spec in ``dtype``,
-    ready to feed the learnable stage.
-    """
+    planes: (n, H, W); returns per spec an (n, k*k, H, W) channels-last view
+    in the smallest signed int holding +-T, built ops.CHUNK_ROWS pixels at a
+    time over ops._chunks' bounds, so no full-size float array is made."""
     specs = tuple(specs)
     if not specs:
         raise ValueError("at least one QtSpec required")
-    residuals = convolve_batch(np.asarray(planes, dtype=dtype), bank)
-    return [quantize_truncate(residuals, spec) for spec in specs]
+    planes = np.asarray(planes, dtype=dtype)
+    n, h, w = planes.shape
+    k = bank.size
+    if h < k or w < k:
+        raise ValueError(f"plane {h}x{w} is smaller than the {k}x{k} kernels")
+    lo = (k - 1) // 2  # same padding: k - 1 - lo after, 4 for k = 8
+    padded = np.pad(planes, ((0, 0), (lo, k - 1 - lo), (lo, k - 1 - lo)))
+    # -T-1 fits a signed type exactly when all of [-T, T] does.
+    groups = [np.empty((n * h * w, k * k), np.min_scalar_type(-spec.T - 1)) for spec in specs]
+    for rows, slab in ops._chunks(n, h, w, k, 1):
+        residuals = convolve_batch(padded[slab], bank).reshape(-1, k * k)
+        for spec, group in zip(specs, groups):
+            group[rows] = quantize_truncate(residuals, spec)
+    return [group.reshape(n, h, w, k * k).transpose(0, 3, 1, 2) for group in groups]
 
 
 def parse_qt_specs(text: str):
@@ -146,3 +143,7 @@ def parse_qt_specs(text: str):
     if not specs:
         raise ValueError("empty Q&T spec list")
     return tuple(specs)
+
+
+# Imported last: micronet's model module reads DEFAULT_QT_SPECS from here.
+from .micronet import ops  # noqa: E402

@@ -116,7 +116,7 @@ class PairSplit:
 
 
 class FrontEnd:
-    """Fixed residual front end shared by training and evaluation."""
+    """Fixed residual front end; ``dtype`` is its convolution's (groups are ints)."""
 
     def __init__(self, bank: KernelBank, specs, dtype=np.float32):
         self.bank = bank
@@ -145,22 +145,25 @@ def _check_input_size(model: HybridModel, planes: np.ndarray) -> None:
         raise ValueError(f"model was trained on {size}x{size}px inputs, data is {h}x{w}px")
 
 
-def predict(model: HybridModel, front: FrontEnd, planes: np.ndarray, batch_size: int = 64):
-    """Predicted label (0 cover, 1 stego) of each plane, batch_size at a time."""
-    _check_front_end(model, front)
-    _check_input_size(model, planes)
-    return np.concatenate([
-        model.predict(front.transform(planes[start : start + batch_size]))
-        for start in range(0, len(planes), batch_size)
-    ])
+def predict(models, front: FrontEnd, planes: np.ndarray, batch_size: int = 64) -> np.ndarray:
+    """(len(models), n) labels (0 cover, 1 stego): one front end per batch, all models."""
+    for model in models:
+        _check_front_end(model, front)
+        _check_input_size(model, planes)
+    preds = np.empty((len(models), len(planes)), np.int64)
+    for start in range(0, len(planes), batch_size):
+        groups = front.transform(planes[start : start + batch_size])
+        for row, model in zip(preds, models):
+            row[start : start + batch_size] = model.predict(groups)
+    return preds
 
 
 def evaluate(
     model: HybridModel, front: FrontEnd, split: PairSplit, batch_size: int = 64
 ) -> tuple[float, float, float]:
     """(accuracy, cover accuracy, stego accuracy) over all covers and stegos."""
-    covers_right = int((predict(model, front, split.covers, batch_size) == 0).sum())
-    stegos_right = int((predict(model, front, split.stegos, batch_size) == 1).sum())
+    covers_right = int((predict([model], front, split.covers, batch_size) == 0).sum())
+    stegos_right = int((predict([model], front, split.stegos, batch_size) == 1).sum())
     n = len(split)
     return (covers_right + stegos_right) / (2 * n), covers_right / n, stegos_right / n
 

@@ -4,6 +4,10 @@ import numpy as np
 import pytest
 
 from stegokit import cli
+from stegokit.micronet import checkpoint, load_checkpoint
+from stegokit.micronet.model import HybridModel
+from stegokit.residual import dct_basis, front_stage_batch, parse_qt_specs
+from stegokit.trainer import ensemble_vote
 
 
 def run(argv, capsys):
@@ -233,6 +237,21 @@ class TestTrain:
         assert "nonsense" in err
 
 
+@pytest.fixture(scope="module")
+def ensemble_ckpts(dataset_dir, trained_dir, tmp_path_factory):
+    """Three checkpoints with two front ends: trained_dir's (5x5 bank, Q&T
+    4:1,4:2,4:4), a 3x3 bank with Q&T 4:2,4:1, and the first front end again."""
+    paths = [trained_dir / "model.ckpt"]
+    for seed, front in ((6, ["--kernels", "3", "--qt", "4:2,4:1"]), (7, [])):
+        out = tmp_path_factory.mktemp(f"run{seed}")
+        assert cli.main(
+            ["train", "--data", str(dataset_dir / "manifest.jsonl"), "--out", str(out),
+             "--seed", str(seed), *front, *TINY_TRAIN]
+        ) == 0
+        paths.append(out / "model.ckpt")
+    return paths
+
+
 class TestEvalAndEnsemble:
     def test_eval_reports_accuracy(self, dataset_dir, trained_dir, capsys):
         code, out, _ = run(
@@ -268,6 +287,55 @@ class TestEvalAndEnsemble:
         report = json.loads(out)
         assert np.isclose(report["ensemble_accuracy"], single)
         assert report["single_accuracies"] == [single] * 5
+
+    def test_single_accuracies_equal_eval(self, dataset_dir, ensemble_ckpts, capsys):
+        data = str(dataset_dir / "manifest.jsonl")
+        evals = []
+        for ck in ensemble_ckpts:
+            code, out, _ = run(["eval", "--checkpoint", str(ck), "--data", data,
+                                "--batch-size", "4"], capsys)
+            assert code == 0
+            evals.append(json.loads(out)["accuracy"])
+        code, out, _ = run(["ensemble", "--checkpoints", *map(str, ensemble_ckpts),
+                            "--data", data, "--batch-size", "4"], capsys)
+        assert code == 0
+        assert json.loads(out)["single_accuracies"] == evals
+
+    def test_mixed_front_ends_match_per_checkpoint_reference(
+        self, dataset_dir, ensemble_ckpts, capsys
+    ):
+        manifest = dataset_dir / "manifest.jsonl"
+        split = cli._load_planes(manifest, "test")
+        planes = np.concatenate([split.covers, split.stegos])
+        labels = np.repeat([0, 1], len(split))
+        votes = []
+        for ck in ensemble_ckpts:  # every plane at once, each with its own front end
+            model, _ = load_checkpoint(ck)
+            specs = parse_qt_specs(",".join(model.config.qt_labels))
+            votes.append(model.predict(
+                front_stage_batch(planes, dct_basis(model.config.kernel_size), specs)))
+        code, out, _ = run(["ensemble", "--checkpoints", *map(str, ensemble_ckpts),
+                            "--data", str(manifest), "--batch-size", "5"], capsys)
+        assert code == 0
+        report = json.loads(out)
+        assert report["single_accuracies"] == [float((v == labels).mean()) for v in votes]
+        voted = ensemble_vote(np.stack(votes))
+        assert report["ensemble_accuracy"] == float((voted == labels).mean())
+
+    def test_corrupt_last_checkpoint_exits_2_before_any_forward_pass(
+        self, dataset_dir, ensemble_ckpts, tmp_path, capsys, monkeypatch
+    ):
+        bad = tmp_path / "last.ckpt"
+        bad.write_bytes(ensemble_ckpts[-1].read_bytes()[:-4])
+        forwards = []
+        monkeypatch.setattr(HybridModel, "forward", lambda *a, **k: forwards.append(a))
+        code, _, err = run(
+            ["ensemble", "--checkpoints", *map(str, ensemble_ckpts[:2]), str(bad),
+             "--data", str(dataset_dir / "manifest.jsonl")], capsys
+        )
+        assert code == 2
+        assert str(bad) in err
+        assert forwards == []
 
     @pytest.mark.parametrize("command", ["eval", "ensemble"])
     def test_input_size_mismatch_names_both_sizes(
@@ -358,6 +426,25 @@ class TestCorruptCheckpoint:
         )
         assert code == 2
         assert str(bad) in err
+
+    def test_oversized_arch_claim_exits_2_before_building_the_model(
+        self, dataset_dir, trained_dir, tmp_path, capsys, monkeypatch
+    ):
+        # A small file whose header claims a model of hundreds of MB.
+        def claim(header):
+            header["arch"].update(widths=[16, 64, 4096], head_widths=[3000, 400, 200])
+
+        bad = tmp_path / "claim.ckpt"
+        bad.write_bytes(_edit_header((trained_dir / "model.ckpt").read_bytes(), claim))
+        built = []
+        monkeypatch.setattr(checkpoint, "HybridModel", lambda *a, **k: built.append(a))
+        code, _, err = run(
+            ["eval", "--checkpoint", str(bad), "--data", str(dataset_dir / "manifest.jsonl")],
+            capsys,
+        )
+        assert code == 2
+        assert f"{bad}: arch:" in err and "bytes" in err
+        assert built == []
 
 
 class TestVerifyProp1:

@@ -9,7 +9,7 @@ from stegokit.micronet import (
     save_checkpoint,
     scaled_config,
 )
-from stegokit.micronet.model import ConfigError
+from stegokit.micronet.model import MAX_SIZE, ConfigError, stored_values
 from stegokit.micronet import ops
 from stegokit.residual import DEFAULT_QT_SPECS, dct_basis, front_stage_batch
 
@@ -67,6 +67,38 @@ class TestSubnetShapes:
         assert cfg.head_widths == (8, 4, 2)
         assert cfg.first_stride == 1
         assert scaled_config("type1", 0.001).head_widths == (2, 2, 2)
+
+
+class TestConfigBounds:
+    @pytest.mark.parametrize("variant", ["type1", "type2"])
+    @pytest.mark.parametrize("use_bn", [True, False])
+    @pytest.mark.parametrize("kernel_size, qt_labels, scale", [
+        (5, ("4:1", "4:2", "4:4"), 0.125), (3, ("4:2",), 0.25), (8, ("4:1", "4:2"), 0.1),
+    ])
+    def test_stored_values_counts_the_built_model(
+        self, variant, use_bn, kernel_size, qt_labels, scale
+    ):
+        cfg = scaled_config(variant, scale, kernel_size=kernel_size, qt_labels=qt_labels,
+                            input_size=32, use_bn=use_bn)
+        model = build_hybrid_model(cfg)
+        held = sum(
+            getattr(layer, attr).size
+            for _, layer in model.named_layers()
+            for attr in layer.param_names() + layer.state_names()
+        )
+        assert stored_values(cfg) == held
+
+    @pytest.mark.parametrize("field, value", [
+        ("widths", (16, 64, MAX_SIZE + 1)),
+        ("widths", (16, 0, 512)),
+        ("head_widths", (800, 400.0, 200)),
+        ("input_size", 0),
+        ("input_size", "256"),
+        ("first_stride", 0),
+    ])
+    def test_out_of_range_sizes_rejected_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            HybridConfig(**{field: value})
 
 
 def tiny_config(qt_labels=("4:1", "4:2", "4:4")):

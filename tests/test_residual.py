@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from stegokit import residual
 from stegokit.codec import dct_matrix
+from stegokit.micronet import HybridConfig, build_hybrid_model, ops
 from stegokit.residual import (
     DEFAULT_QT_SPECS,
     KernelBank,
@@ -32,9 +34,17 @@ def naive_same_padding_corr(plane, kernel):
     return out
 
 
+def same_pad(planes, k):
+    """(n, H, W) -> (n, H+k-1, W+k-1), zero-padded as naive_same_padding_corr
+    reads it: (k-1)/2 on each side for odd k, 3 before and 4 after for k=8."""
+    lo = (k - 1) // 2 if k % 2 else k // 2 - 1
+    return np.pad(planes, ((0, 0), (lo, k - 1 - lo), (lo, k - 1 - lo)))
+
+
 def convolve_one(plane, bank):
     """Residual maps (k*k, H, W) of one plane, through the batched path."""
-    return convolve_batch(np.asarray(plane)[None], bank)[0]
+    padded = same_pad(np.asarray(plane)[None], bank.size)
+    return convolve_batch(padded, bank)[0].transpose(2, 0, 1)
 
 
 def staircase_oracle(z, spec):
@@ -144,8 +154,10 @@ class TestConvolveResiduals:
         assert np.abs(lhs - rhs).max() < 1e-9
 
     def test_plane_smaller_than_kernel_rejected(self):
+        with pytest.raises(ValueError, match="smaller than the 5x5 kernels"):
+            front_stage_batch(np.zeros((1, 4, 4)), dct_basis(5), DEFAULT_QT_SPECS)
         with pytest.raises(ValueError):
-            convolve_batch(np.zeros((1, 4, 4)), dct_basis(5))
+            convolve_batch(np.zeros((1, 3, 8)), dct_basis(5))  # a slab, not padded enough
 
 
 class TestQuantizeTruncate:
@@ -221,7 +233,7 @@ class TestFrontStage:
         assert len(groups) == 3
         for group in groups:
             assert group.shape == (1, 25, 256, 256)
-            assert group.dtype == np.float32
+            assert group.dtype == np.int8
             assert group.min() >= -4 and group.max() <= 4
 
     def test_constant_plane_dc_saturates_interior(self):
@@ -262,9 +274,66 @@ class TestFrontStage:
         bank = dct_basis(5)
         specs = (QtSpec(4, 1), QtSpec(4, 2))
         groups = front_stage_batch(planes, bank, specs)
-        residuals = convolve_batch(planes.astype(np.float32), bank)
+        residuals = convolve_batch(same_pad(planes.astype(np.float32), 5), bank)
         for spec, group in zip(specs, groups):
-            assert np.array_equal(group, quantize_truncate(residuals, spec))
+            expect = quantize_truncate(residuals, spec).transpose(0, 3, 1, 2)
+            assert np.array_equal(group, expect)
+
+
+class TestChunkedFrontStage:
+    """front_stage_batch walks the planes in chunks of about ops.CHUNK_ROWS
+    pixels; its groups must not depend on where the chunks fall."""
+
+    # (planes shape, CHUNK_ROWS, chunks): groups of two whole 12x12 images,
+    # or bands of three 16-pixel rows; either way the last chunk is short.
+    CASES = {"image-groups": ((5, 12, 12), 288, 3), "row-bands": ((2, 20, 16), 48, 14)}
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_matches_unchunked_reference(self, k, case, monkeypatch):
+        shape, chunk_rows, chunks = self.CASES[case]
+        planes = np.random.default_rng(10).uniform(0, 255, size=shape).astype(np.float32)
+        bank = dct_basis(k)
+        specs = DEFAULT_QT_SPECS + (QtSpec(4, 1.5), QtSpec(200, 0.3))
+        residuals = convolve_batch(same_pad(planes, k), bank)  # the whole batch at once
+        calls = []
+
+        def spy(padded, bank):
+            calls.append(padded.shape)
+            return convolve_batch(padded, bank)
+
+        monkeypatch.setattr(ops, "CHUNK_ROWS", chunk_rows)
+        monkeypatch.setattr(residual, "convolve_batch", spy)
+        groups = front_stage_batch(planes, bank, specs)
+        assert len(calls) == chunks and calls[-1] != calls[0]  # several, with a short tail
+        for spec, group in zip(specs, groups):
+            expect = quantize_truncate(residuals, spec).transpose(0, 3, 1, 2)
+            assert np.array_equal(group, expect), spec
+
+    @pytest.mark.parametrize("T, dtype", [(127, np.int8), (128, np.int16)])
+    def test_group_dtype_is_the_smallest_that_holds_T(self, T, dtype):
+        planes = np.random.default_rng(11).uniform(0, 255, size=(2, 16, 16))
+        (group,) = front_stage_batch(planes, dct_basis(5), [QtSpec(T, 0.05)])
+        assert group.dtype == dtype
+        assert group.min() == -T and group.max() == T
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_int_groups_give_the_float_groups_logits_and_gradients(self, dtype):
+        planes = np.random.default_rng(12).uniform(0, 255, size=(4, 16, 16))
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS, dtype)
+        cfg = HybridConfig(input_size=16, widths=(4, 8, 16), head_widths=(16, 8, 4))
+        results = []
+        for feed in (groups, [np.ascontiguousarray(g, dtype=dtype) for g in groups]):
+            model = build_hybrid_model(cfg, seed=13, dtype=dtype)
+            logits = model.forward(feed, training=True)
+            model.backward(np.ones_like(logits))
+            grads = [getattr(layer, "g" + attr) for _, layer, attr, _ in model.named_params()]
+            results.append((logits, grads))
+        (logits_int, grads_int), (logits_float, grads_float) = results
+        assert logits_int.dtype == dtype
+        assert np.array_equal(logits_int, logits_float)
+        for a, b in zip(grads_int, grads_float):
+            assert np.array_equal(a, b)
 
 
 class TestParseQtSpecs:
