@@ -16,6 +16,11 @@ FORMAT_VERSION = 1
 HEADER_KEYS = ("format", "arch", "iteration", "seed", "qt_order", "layers")
 
 
+class _NoDraw:
+    # Init generator for a skeleton whose every array is read from the file.
+    normal = staticmethod(lambda loc, scale, size: np.zeros(size, np.float32))
+
+
 def _entries(model: HybridModel):
     """Parameters first, then BN running stats, per layer, in model order."""
     for lname, layer in model.named_layers():
@@ -71,12 +76,15 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
         raise ValueError(f"{path}: header: missing keys {missing}")
     if header["format"] != FORMAT_VERSION:
         raise ValueError(f"{path}: format: unsupported checkpoint format {header['format']}")
+    if not isinstance(header["seed"], int) or header["seed"] < 0:
+        raise ValueError(f"{path}: seed: not a non-negative integer: {header['seed']!r}")
     try:
         config = HybridConfig.from_json_dict(header["arch"])
         claimed, held = 4 * stored_values(config), len(data) - 8 - length
         if claimed != held:
             raise ValueError(f"its arrays take {claimed} bytes, the file holds {held}")
-        model = HybridModel(config, header["seed"], dtype)
+        model = HybridModel.__new__(HybridModel)
+        model._build(config, header["seed"], _NoDraw, dtype)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: arch: {exc}") from None
 

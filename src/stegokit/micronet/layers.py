@@ -97,17 +97,10 @@ class BatchNorm2d(Layer):
         return ("running_mean", "running_var")
 
     def forward(self, x, training=False):
-        out, cache = ops.batchnorm_forward(
-            x,
-            self.gamma,
-            self.beta,
-            self.running_mean,
-            self.running_var,
-            training,
-            self.momentum,
-            self.eps,
+        out, self._cache = ops.batchnorm_forward(
+            x, self.gamma, self.beta, self.running_mean, self.running_var, training,
+            self.momentum, self.eps,
         )
-        self._cache = cache
         return out
 
     def backward(self, grad_out):
@@ -154,11 +147,7 @@ class AvgPool2d(Layer):
 
 class Flatten(Layer):
     def out_shape(self, in_shape):
-        n = in_shape[0]
-        size = 1
-        for d in in_shape[1:]:
-            size *= d
-        return (n, size)
+        return (in_shape[0], int(np.prod(in_shape[1:])))
 
     def forward(self, x, training=False):
         self._x_shape = x.shape

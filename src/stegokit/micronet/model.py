@@ -159,9 +159,12 @@ class HybridModel:
     """
 
     def __init__(self, config: HybridConfig, seed: int = 0, dtype=np.float32):
+        self._build(config, seed, np.random.default_rng([seed, 0]), dtype)
+
+    # The layers draw their initialization from rng.normal(loc, scale, size).
+    def _build(self, config: HybridConfig, seed: int, rng, dtype) -> None:
         self.config = config
         self.seed = seed
-        rng = np.random.default_rng([seed, 0])
         self.subnets = [build_subnet(config, rng, dtype) for _ in range(config.n_groups)]
         in_shape = (1, config.kernel_size**2, config.input_size, config.input_size)
         head_layers = []

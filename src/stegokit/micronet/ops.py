@@ -1,13 +1,13 @@
 """Forward/backward primitives on (batch, channels, height, width) arrays.
 
-Everything is plain numpy. Convolution pads its input and views it
-channels-last once; im2col reads patches from that layout so the heavy
-lifting is GEMMs, and col2im is its adjoint. It walks the output in chunks of
-about CHUNK_ROWS patch-matrix rows, building each chunk's patches and
-consuming them at once, so the whole patch matrix (k*k times the input) never
-exists; backward rebuilds the patches from the input, which is all a conv
-layer keeps for it. Average pooling sums shifted strided slices, or reshapes
-and takes the mean where the windows tile the input exactly.
+Everything is plain numpy. Shapes are NCHW, memory is channels-last: conv,
+batch norm, ReLU and average pooling accept any strides and, for
+channels-last input, return (N, C, H, W) views of (N, H, W, C) memory.
+Convolution pads and views its input channels-last once; im2col reads patches
+from it so the heavy lifting is GEMMs, and col2im is its adjoint. Both walk
+chunks of about CHUNK_ROWS patch-matrix rows, so the whole patch matrix (k*k
+times the input) never exists; backward rebuilds the patches from the input,
+which is all a conv layer keeps for it.
 """
 
 from __future__ import annotations
@@ -104,7 +104,7 @@ def conv2d_forward(
     ``x`` is padded and made channels-last once; each chunk of about
     CHUNK_ROWS output pixels then gets its patches from im2col and one GEMM
     into its rows of a channels-last output, so the patch matrix is never
-    built whole. The result does not depend on where chunks fall.
+    built whole. The (N, O, OH, OW) view returned does not depend on chunks.
     """
     _conv_check(x, w)
     kernel = w.shape[2]
@@ -120,7 +120,7 @@ def conv2d_forward(
         np.matmul(cols, wt, out=rows_out[rows])
     if b is not None:
         out += b
-    return np.ascontiguousarray(out.transpose(0, 3, 1, 2))
+    return out.transpose(0, 3, 1, 2)
 
 
 def _conv_check(x: np.ndarray, w: np.ndarray) -> None:
@@ -172,6 +172,15 @@ def conv2d_backward(
     return grad_x, np.ascontiguousarray(grad_w), gom.sum(axis=0)
 
 
+# One running f32 sum over all N*H*W values of a channel loses about 1e-5
+# relative at 64x64 planes; summing each image first, then the N partial
+# sums, keeps it near 3e-7.
+def _channel_sum(*factors: np.ndarray) -> np.ndarray:
+    """Per-channel sum of the product of channels-last (N, H, W, C) factors."""
+    subscripts = ",".join(["nhwc"] * len(factors)) + "->nc"
+    return np.einsum(subscripts, *factors).sum(axis=0)
+
+
 def batchnorm_forward(
     x: np.ndarray,
     gamma: np.ndarray,
@@ -186,44 +195,50 @@ def batchnorm_forward(
 
     Train mode normalizes by batch statistics and updates the running stats
     in place; eval mode uses the running stats. Returns (out, cache) where
-    cache is None in eval mode.
+    cache is None in eval mode, else (x_hat as (N, H, W, C), inv_std, gamma).
     """
     if x.ndim != 4:
         raise ValueError("batchnorm expects a 4-D tensor")
+    xl = x.transpose(0, 2, 3, 1)
     if training:
         if x.shape[0] < 2:
             raise ValueError("train-mode batchnorm requires batch size >= 2")
-        mean = x.mean(axis=(0, 2, 3))
-        var = x.var(axis=(0, 2, 3))
+        m = x.size // x.shape[1]
+        mean = _channel_sum(xl) / m
+        x_hat = xl - mean
+        var = _channel_sum(x_hat, x_hat) / m
         inv_std = 1.0 / np.sqrt(var + eps)
-        x_hat = (x - mean[None, :, None, None]) * inv_std[None, :, None, None]
+        x_hat *= inv_std
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mean
         running_var *= momentum
         running_var += (1.0 - momentum) * var
-        out = gamma[None, :, None, None] * x_hat + beta[None, :, None, None]
-        return out, (x_hat, inv_std, gamma)
+        out = x_hat * gamma
+        out += beta
+        return out.transpose(0, 3, 1, 2), (x_hat, inv_std, gamma)
     inv_std = 1.0 / np.sqrt(running_var + eps)
     scale = gamma * inv_std
-    shift = beta - running_mean * scale
-    return x * scale[None, :, None, None] + shift[None, :, None, None], None
+    out = xl * scale
+    out += beta - running_mean * scale
+    return out.transpose(0, 3, 1, 2), None
 
 
 def batchnorm_backward(cache, grad_out: np.ndarray):
     """Train-mode gradients: (grad_x, grad_gamma, grad_beta), including the
-    dependence of the batch mean/variance on x."""
+    dependence of the batch mean/variance on x. Consumes the cache."""
     x_hat, inv_std, gamma = cache
-    n, _, h, w = grad_out.shape
-    m = n * h * w
-    grad_beta = grad_out.sum(axis=(0, 2, 3))
-    grad_gamma = (grad_out * x_hat).sum(axis=(0, 2, 3))
-    coeff = (gamma * inv_std / m)[None, :, None, None]
-    grad_x = coeff * (
-        m * grad_out
-        - grad_beta[None, :, None, None]
-        - x_hat * grad_gamma[None, :, None, None]
-    )
-    return grad_x, grad_gamma, grad_beta
+    m = x_hat.size // x_hat.shape[-1]
+    g = grad_out.transpose(0, 2, 3, 1)
+    grad_beta = _channel_sum(g)
+    grad_gamma = _channel_sum(g, x_hat)
+    # gamma * inv_std * ((g - grad_beta / m) - x_hat * grad_gamma / m). g and
+    # its mean nearly cancel where a channel's gradient is almost uniform, so
+    # they are subtracted first; x_hat is scaled in place.
+    grad_x = g - grad_beta / m
+    x_hat *= grad_gamma / m
+    grad_x -= x_hat
+    grad_x *= gamma * inv_std
+    return grad_x.transpose(0, 3, 1, 2), grad_gamma, grad_beta
 
 
 def relu(x: np.ndarray) -> np.ndarray:
@@ -247,15 +262,16 @@ def avgpool(x: np.ndarray, window: int, stride: int | None = None, pad: int = 0)
     n, c, h, w = x.shape
     oh = conv_out_size(h, window, stride, pad)
     ow = conv_out_size(w, window, stride, pad)
+    x = _padded_channels_last(x, pad)
+    # Windows that tile x exactly take one reshape and mean; others are summed
+    # from one shifted strided slice per window offset.
     if _pool_tiles(h, w, window, stride, pad):
-        return x.reshape(n, c, oh, window, ow, window).mean(axis=(3, 5))
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    out = np.zeros((n, c, oh, ow), dtype=x.dtype)
+        return x.reshape(n, oh, window, ow, window, c).mean(axis=(2, 4)).transpose(0, 3, 1, 2)
+    out = np.zeros((n, oh, ow, c), dtype=x.dtype)
     for u in range(window):
         for v in range(window):
-            out += x[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride]
-    return out / (window * window)
+            out += x[:, u : u + stride * oh : stride, v : v + stride * ow : stride]
+    return out.transpose(0, 3, 1, 2) / (window * window)
 
 
 def avgpool_backward(
@@ -265,17 +281,15 @@ def avgpool_backward(
     stride = window if stride is None else stride
     n, c, h, w = x_shape
     _, _, oh, ow = grad_out.shape
-    share = grad_out / (window * window)
+    share = grad_out.transpose(0, 2, 3, 1) / (window * window)
     if _pool_tiles(h, w, window, stride, pad):
-        tiled = np.broadcast_to(share[:, :, :, None, :, None], (n, c, oh, window, ow, window))
-        return tiled.reshape(x_shape)
-    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
+        tiled = np.broadcast_to(share[:, :, None, :, None], (n, oh, window, ow, window, c))
+        return tiled.reshape(n, h, w, c).transpose(0, 3, 1, 2)
+    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=grad_out.dtype)
     for u in range(window):
         for v in range(window):
-            gx[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += share
-    if pad:
-        gx = gx[:, :, pad : pad + h, pad : pad + w]
-    return gx
+            gx[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += share
+    return gx[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 
 def fc(x: np.ndarray, w: np.ndarray, b: np.ndarray) -> np.ndarray:

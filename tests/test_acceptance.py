@@ -263,7 +263,7 @@ def test_criterion_4_full_model_gradient():
         flat = arr.reshape(-1)
         for i in rng.choice(flat.size, size=min(5, flat.size), replace=False):
             orig = flat[i]
-            h = 1e-6 * max(1.0, abs(orig))
+            h = 1e-5 * max(1.0, abs(orig))
             flat[i] = orig + h
             hi = loss_fn()
             flat[i] = orig - h

@@ -408,6 +408,7 @@ CORRUPTIONS = {
     "unknown-arch-key": lambda d: _edit_header(d, lambda h: h["arch"].update(dropout=0.5)),
     "missing-arch-field": lambda d: _edit_header(d, lambda h: h["arch"].pop("widths")),
     "missing-header-key": lambda d: _edit_header(d, lambda h: h.pop("seed")),
+    "bad-seed": lambda d: _edit_header(d, lambda h: h.update(seed="x")),
     "bad-magic": lambda d: b"JUNK" + d[4:],
     "non-finite": _nan_first_blob,
 }

@@ -48,6 +48,15 @@ def loop_avgpool_backward(grad_out, x_shape, window):
     return gx
 
 
+def channels_last_copy(a):
+    """The values of the (N, C, H, W) array ``a`` in (N, H, W, C) memory."""
+    return np.ascontiguousarray(a.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+
+
+def is_channels_last(a):
+    return a.transpose(0, 2, 3, 1).flags.c_contiguous
+
+
 def rel_close(analytic, numeric, tol=1e-6, zero_floor=1e-7):
     """Relative agreement with an absolute guard for true-zero gradients."""
     analytic = np.asarray(analytic, dtype=np.float64)
@@ -175,16 +184,21 @@ class TestConvBackward:
         x = rng.normal(size=(2, 3, 6, 6))
         w = rng.normal(size=(4, 3, 3, 3))
         b = rng.normal(size=4)
-        x_cl = np.ascontiguousarray(x.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        x_cl = channels_last_copy(x)
         assert not x_cl.flags.c_contiguous
         out = ops.conv2d_forward(x, w, b, stride, pad)
         out_cl = ops.conv2d_forward(x_cl, w, b, stride, pad)
         assert np.array_equal(out, out_cl)
-        g = rng.normal(size=out.shape)
-        g_cl = np.ascontiguousarray(g.transpose(0, 2, 3, 1)).transpose(0, 3, 1, 2)
+        assert is_channels_last(out) and is_channels_last(out_cl)
+        g = np.ascontiguousarray(rng.normal(size=out.shape))
+        g_cl = channels_last_copy(g)
         expect = ops.conv2d_backward(x, w, g, stride, pad)
-        for e, a in zip(expect, ops.conv2d_backward(x_cl, w, g_cl, stride, pad)):
+        got = ops.conv2d_backward(x_cl, w, g_cl, stride, pad)
+        for e, a in zip(expect, got):
             assert np.array_equal(e, a)
+        # grad_x is channels-last: contiguous, or a crop of a padded slab.
+        assert got[0].strides[1] == got[0].itemsize
+        assert is_channels_last(got[0]) or pad
         gx, gw, gb = ops.conv2d_backward(x_cl, w, g_cl, stride, pad, input_grad=False)
         assert gx is None
         assert np.array_equal(gw, expect[1]) and np.array_equal(gb, expect[2])
@@ -413,6 +427,79 @@ class TestBatchNorm:
         assert rel_close(gx, numeric_grad(loss, x), tol=1e-6)
         assert rel_close(ggamma, numeric_grad(loss, gamma), tol=1e-6)
         assert rel_close(gbeta, numeric_grad(loss, beta), tol=1e-6)
+
+
+    def test_statistics_and_parameter_gradients_match_f64(self):
+        # 64x64 planes: one running f32 sum over all N*H*W rows of a channel
+        # is off by about 1e-5 relative here.
+        rng = np.random.default_rng(14)
+        n, c, h, w = 64, 16, 64, 64
+        offset = rng.uniform(0.5, 2.0, c).astype(np.float32)
+        rows = rng.standard_normal((n, h, w, c), dtype=np.float32) + offset
+        x = rows.transpose(0, 3, 1, 2)
+        g = (0.3 * rows + 0.5 * rng.standard_normal(rows.shape, dtype=np.float32)).transpose(
+            0, 3, 1, 2
+        )
+        rm, rv = np.zeros(c, np.float32), np.zeros(c, np.float32)
+        gamma, beta = np.ones(c, np.float32), np.zeros(c, np.float32)
+        _, cache = ops.batchnorm_forward(x, gamma, beta, rm, rv, True, momentum=0.0)
+        x64 = x.astype(np.float64)
+        assert np.abs(rm / x64.mean(axis=(0, 2, 3)) - 1).max() <= 1e-6
+        assert np.abs(rv / x64.var(axis=(0, 2, 3)) - 1).max() <= 1e-6
+        x_hat = cache[0].astype(np.float64).reshape(n, h, w, c).transpose(0, 3, 1, 2)
+        _, ggamma, gbeta = ops.batchnorm_backward(cache, g)
+        g64 = g.astype(np.float64)
+        assert np.abs(gbeta / g64.sum(axis=(0, 2, 3)) - 1).max() <= 1e-6
+        assert np.abs(ggamma / (g64 * x_hat).sum(axis=(0, 2, 3)) - 1).max() <= 1e-6
+
+
+class TestLayout:
+    """Every op keeps channels-last memory, and its values do not depend on
+    the input's layout."""
+
+    @pytest.mark.parametrize("training", [True, False])
+    def test_batchnorm(self, training):
+        rng = np.random.default_rng(15)
+        x = rng.normal(1.0, 2.0, size=(4, 3, 5, 6)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        gamma, beta = rng.normal(1.0, 0.1, 3), rng.normal(size=3)
+        results = []
+        for xi, gi in ((x, g), (channels_last_copy(x), channels_last_copy(g))):
+            rm, rv = np.full(3, 0.5, np.float32), np.full(3, 2.0, np.float32)
+            out, cache = ops.batchnorm_forward(xi, gamma, beta, rm, rv, training)
+            results.append([out, rm, rv])
+            if training:
+                results[-1] += ops.batchnorm_backward(cache, gi)
+        # Only the order of the per-channel sums depends on the layout.
+        for a, b in zip(*results):
+            assert np.allclose(a, b, rtol=1e-5, atol=1e-5)
+        assert is_channels_last(results[1][0])
+        if training:
+            assert is_channels_last(results[1][3])
+
+    def test_relu(self):
+        x = np.random.default_rng(16).normal(size=(2, 3, 4, 5))
+        x_cl = channels_last_copy(x)
+        assert np.array_equal(ops.relu(x), ops.relu(x_cl))
+        assert is_channels_last(ops.relu(x_cl))
+        g_cl = channels_last_copy(np.cos(x))
+        assert np.array_equal(ops.relu_backward(x, np.cos(x)), ops.relu_backward(x_cl > 0, g_cl))
+        assert is_channels_last(ops.relu_backward(x_cl > 0, g_cl))
+
+    @pytest.mark.parametrize("window,stride,pad", [(2, 2, 0), (3, 2, 1)])
+    def test_avgpool(self, window, stride, pad):
+        rng = np.random.default_rng(17)
+        x = rng.normal(size=(2, 3, 6, 6)).astype(np.float32)
+        out = ops.avgpool(x, window, stride, pad)
+        out_cl = ops.avgpool(channels_last_copy(x), window, stride, pad)
+        assert np.allclose(out, out_cl, rtol=1e-6, atol=0)
+        assert is_channels_last(out_cl)
+        g = rng.normal(size=out.shape).astype(np.float32)
+        gx = ops.avgpool_backward(g, x.shape, window, stride, pad)
+        gx_cl = ops.avgpool_backward(channels_last_copy(g), x.shape, window, stride, pad)
+        assert np.array_equal(gx, gx_cl)
+        assert gx_cl.strides[1] == gx_cl.itemsize
+        assert is_channels_last(gx_cl) or pad
 
 
 class TestSmallOps:

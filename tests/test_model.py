@@ -199,6 +199,20 @@ class TestHybridForward:
             alone = model.forward([g[i : i + 1] for g in groups])
             assert np.allclose(alone[0], logits[i], atol=1e-6)
 
+    @pytest.mark.parametrize("variant", ["type1", "type2"])
+    def test_logits_do_not_depend_on_the_groups_layout(self, variant):
+        # The front end hands out channels-last views; NCHW copies of them
+        # must give the same logits, in eval and in train mode.
+        planes = np.random.default_rng(5).uniform(0, 255, (4, 32, 32))
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
+        copies = [np.ascontiguousarray(g) for g in groups]
+        assert not groups[0].flags.c_contiguous
+        model = build_hybrid_model(scaled_config(variant, 0.25, input_size=32), seed=1)
+        for training in (False, True):
+            assert np.array_equal(
+                model.forward(groups, training), model.forward(copies, training)
+            )
+
 
 class TestFullModelGradients:
     def test_sampled_finite_differences(self):
