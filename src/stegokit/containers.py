@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .codec import BLOCK, DctGrid, to_blocks
+from .codec import BLOCK, DctGrid, from_blocks, to_blocks
 
 JCG_MAGIC = b"JCG1"
 JCG_HEADER = 12 + 128  # magic, width, height, quant table
@@ -46,8 +46,7 @@ def read_jcg(path) -> DctGrid:
     qt = np.frombuffer(data, dtype="<u2", count=64, offset=12).reshape(BLOCK, BLOCK)
     coeffs = np.frombuffer(data, dtype="<i2", count=width * height, offset=JCG_HEADER)
     blocks = coeffs.reshape(height // BLOCK, width // BLOCK, BLOCK, BLOCK)
-    plane = blocks.transpose(0, 2, 1, 3).reshape(height, width)
-    return DctGrid(coeffs=plane, quant_table=qt.astype(np.uint16))
+    return DctGrid(coeffs=from_blocks(blocks), quant_table=qt.astype(np.uint16))
 
 
 def write_pgm(path, pixels: np.ndarray) -> None:

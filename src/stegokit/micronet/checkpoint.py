@@ -52,14 +52,14 @@ def save_checkpoint(model: HybridModel, path, iteration: int = 0) -> None:
             fh.write(np.ascontiguousarray(getattr(layer, attr), dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
-    """Rebuild the model skeleton from the header and fill in its arrays.
+def load_checkpoint(path) -> tuple[HybridModel, dict]:
+    """Rebuild the float32 model skeleton from the header and fill in its arrays.
 
-    Returns (model, header). The header must hold every key and
-    architecture field, the arrays the architecture implies must fill the
-    rest of the file (checked before the model is built), the records must
-    name them in model order with their shapes, and every blob must be
-    finite; any other file raises ValueError("<path>: <field>: ...").
+    Returns (model, header). The header must hold every key, a valid arch
+    and its qt_labels as qt_order; the arrays arch implies must fill the rest
+    of the file (checked before the model is built), the records must name
+    them in model order with their shapes, and every blob must be finite;
+    any other file raises ValueError("<path>: <field>: ...").
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -76,17 +76,20 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
         raise ValueError(f"{path}: header: missing keys {missing}")
     if header["format"] != FORMAT_VERSION:
         raise ValueError(f"{path}: format: unsupported checkpoint format {header['format']}")
-    if not isinstance(header["seed"], int) or header["seed"] < 0:
-        raise ValueError(f"{path}: seed: not a non-negative integer: {header['seed']!r}")
+    for key in ("iteration", "seed"):
+        if not isinstance(header[key], int) or header[key] < 0:
+            raise ValueError(f"{path}: {key}: not a non-negative integer: {header[key]!r}")
     try:
         config = HybridConfig.from_json_dict(header["arch"])
         claimed, held = 4 * stored_values(config), len(data) - 8 - length
         if claimed != held:
             raise ValueError(f"its arrays take {claimed} bytes, the file holds {held}")
         model = HybridModel.__new__(HybridModel)
-        model._build(config, header["seed"], _NoDraw, dtype)
+        model._build(config, header["seed"], _NoDraw, np.float32)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: arch: {exc}") from None
+    if header["qt_order"] != list(config.qt_labels):
+        raise ValueError(f"{path}: qt_order: {header['qt_order']!r} is not arch.qt_labels")
 
     entries = list(_entries(model))
     records = header["layers"]
@@ -113,5 +116,5 @@ def load_checkpoint(path, dtype=np.float32) -> tuple[HybridModel, dict]:
         if not np.isfinite(values).all():
             raise ValueError(f"{path}: layers: {name}: non-finite values")
         offset += 4 * count
-        setattr(layer, attr, values.reshape(shape).astype(dtype))
+        setattr(layer, attr, values.reshape(shape).astype(np.float32))
     return model, header

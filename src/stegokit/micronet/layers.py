@@ -1,5 +1,5 @@
-"""Layer classes wrapping the functional ops: parameters, gradients, and the
-forward caches needed for backprop live on the layer."""
+"""Layer classes wrapping the functional ops: parameters, the gradients
+backward sets (``gw`` for ``w``) and the forward caches live on the layer."""
 
 from __future__ import annotations
 
@@ -47,9 +47,6 @@ class Conv2d(Layer):
         rng = rng or np.random.default_rng(0)
         self.w = rng.normal(0.0, scale, (out_ch, in_ch, kernel, kernel)).astype(dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
-        self._x = None
 
     def param_names(self):
         return ("w", "b")
@@ -79,16 +76,14 @@ class Conv2d(Layer):
 
 
 class BatchNorm2d(Layer):
-    def __init__(self, channels, dtype=np.float32, momentum=ops.BN_MOMENTUM, eps=ops.BN_EPS):
-        self.momentum = momentum
-        self.eps = eps
+    def __init__(self, channels, dtype=np.float32):
+        # Weight of the old running stats per train-mode forward; 0 makes
+        # them the latest batch's.
+        self.momentum = ops.BN_MOMENTUM
         self.gamma = np.ones(channels, dtype=dtype)
         self.beta = np.zeros(channels, dtype=dtype)
         self.running_mean = np.zeros(channels, dtype=dtype)
         self.running_var = np.ones(channels, dtype=dtype)
-        self.ggamma = np.zeros_like(self.gamma)
-        self.gbeta = np.zeros_like(self.beta)
-        self._cache = None
 
     def param_names(self):
         return ("gamma", "beta")
@@ -98,8 +93,7 @@ class BatchNorm2d(Layer):
 
     def forward(self, x, training=False):
         out, self._cache = ops.batchnorm_forward(
-            x, self.gamma, self.beta, self.running_mean, self.running_var, training,
-            self.momentum, self.eps,
+            x, self.gamma, self.beta, self.running_mean, self.running_var, training, self.momentum
         )
         return out
 
@@ -165,8 +159,6 @@ class Dense(Layer):
         rng = rng or np.random.default_rng(0)
         self.w = rng.normal(0.0, scale, (in_features, out_features)).astype(dtype)
         self.b = np.zeros(out_features, dtype=dtype)
-        self.gw = np.zeros_like(self.w)
-        self.gb = np.zeros_like(self.b)
 
     def param_names(self):
         return ("w", "b")
@@ -175,7 +167,7 @@ class Dense(Layer):
         return (in_shape[0], self.w.shape[1])
 
     def forward(self, x, training=False):
-        self._x = x
+        self._x = x if training else None
         return ops.fc(x, self.w, self.b)
 
     def backward(self, grad_out):

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from ..residual import DEFAULT_QT_SPECS
+from ..residual import DEFAULT_QT_SPECS, SUPPORTED_KERNEL_SIZES, parse_qt_specs
 from .layers import AvgPool2d, BatchNorm2d, Conv2d, Dense, Flatten, ReLU, Sequential
 
 HEAD_WIDTHS = (800, 400, 200)
@@ -48,11 +48,19 @@ class HybridConfig:
             raise ConfigError(f"unknown subnet variant {self.variant!r}")
         if len(self.widths) != 3:
             raise ConfigError("exactly three conv widths required")
-        for name in ("input_size", "first_stride", "widths", "head_widths"):
+        for name in ("kernel_size", "input_size", "first_stride", "widths", "head_widths"):
             value = getattr(self, name)
             if not all(isinstance(v, int) and 1 <= v <= MAX_SIZE
                        for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{name} must be integers in [1, {MAX_SIZE}], got {value!r}")
+        if self.kernel_size not in SUPPORTED_KERNEL_SIZES:
+            raise ConfigError(f"kernel_size {self.kernel_size} is not in {SUPPORTED_KERNEL_SIZES}")
+        try:
+            labels = tuple(spec.label() for spec in parse_qt_specs(",".join(self.qt_labels)))
+        except (TypeError, ValueError):
+            labels = None  # not strings, or not T:q
+        if labels != tuple(self.qt_labels):
+            raise ConfigError(f'qt_labels must be "T:q" labels, got {self.qt_labels!r}')
 
     @property
     def n_groups(self) -> int:

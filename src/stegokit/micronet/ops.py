@@ -118,8 +118,7 @@ def conv2d_forward(
     for rows, slab in _chunks(n, oh, ow, kernel, stride):
         cols, _, _ = im2col(xp[slab], kernel, stride)
         np.matmul(cols, wt, out=rows_out[rows])
-    if b is not None:
-        out += b
+    out += b
     return out.transpose(0, 3, 1, 2)
 
 
@@ -189,7 +188,6 @@ def batchnorm_forward(
     running_var: np.ndarray,
     training: bool,
     momentum: float = BN_MOMENTUM,
-    eps: float = BN_EPS,
 ):
     """Per-channel batch normalization.
 
@@ -207,7 +205,7 @@ def batchnorm_forward(
         mean = _channel_sum(xl) / m
         x_hat = xl - mean
         var = _channel_sum(x_hat, x_hat) / m
-        inv_std = 1.0 / np.sqrt(var + eps)
+        inv_std = 1.0 / np.sqrt(var + BN_EPS)
         x_hat *= inv_std
         running_mean *= momentum
         running_mean += (1.0 - momentum) * mean
@@ -216,7 +214,7 @@ def batchnorm_forward(
         out = x_hat * gamma
         out += beta
         return out.transpose(0, 3, 1, 2), (x_hat, inv_std, gamma)
-    inv_std = 1.0 / np.sqrt(running_var + eps)
+    inv_std = 1.0 / np.sqrt(running_var + BN_EPS)
     scale = gamma * inv_std
     out = xl * scale
     out += beta - running_mean * scale

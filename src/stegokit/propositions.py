@@ -11,13 +11,10 @@ import numpy as np
 from .codec import ImagePlane, StegoNoiseGrid, noise_to_spatial
 from .residual import QtSpec, quantize_truncate
 
-DEFAULT_BIN_LIMIT = 512
-
-
-def default_bin_edges() -> np.ndarray:
-    """Unit-width bins over [1, 512); bin 0 catches ratios below 1 and the
-    last bin is the overflow."""
-    return np.concatenate([[0.0], np.arange(1.0, DEFAULT_BIN_LIMIT + 1.0), [np.inf]])
+#: Unit-width bins over [1, 512); bin 0 catches ratios below 1 and the last
+#: bin is the overflow. Read-only, shared by every RatioHistogram.
+BIN_EDGES = np.concatenate([[0.0], np.arange(1.0, 513.0), [np.inf]])
+BIN_EDGES.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -28,21 +25,20 @@ class RatioHistogram:
     count: int
 
 
-def ratio_histogram(cover: ImagePlane, noise: ImagePlane, edges=None) -> RatioHistogram:
+def ratio_histogram(cover: ImagePlane, noise: ImagePlane) -> RatioHistogram:
     """Distribution of |cover| / round(|noise|) over positions whose rounded
     noise magnitude is at least 1."""
     if cover.values.shape != noise.values.shape:
         raise ValueError("cover and noise shapes differ")
-    edges = default_bin_edges() if edges is None else np.asarray(edges, dtype=np.float64)
     mag = np.abs(noise.values)
     rounded = np.floor(mag + 0.5)
     keep = rounded >= 1.0
     if not keep.any():
         raise ValueError("empty histogram: no positions with nonzero rounded noise")
     ratios = np.abs(cover.values[keep]) / rounded[keep]
-    counts, _ = np.histogram(ratios, bins=edges)
+    counts, _ = np.histogram(ratios, bins=BIN_EDGES)
     return RatioHistogram(
-        edges=edges,
+        edges=BIN_EDGES,
         freqs=counts / counts.sum(),
         mean=float(ratios.mean()),
         count=int(ratios.size),
@@ -55,13 +51,9 @@ def average_ratio_histograms(histograms) -> RatioHistogram:
     histograms = list(histograms)
     if not histograms:
         raise ValueError("no histograms to average")
-    edges = histograms[0].edges
-    for h in histograms[1:]:
-        if h.edges.shape != edges.shape or not np.array_equal(h.edges, edges):
-            raise ValueError("histograms use different bin edges")
     freqs = np.mean([h.freqs for h in histograms], axis=0)
     return RatioHistogram(
-        edges=edges,
+        edges=BIN_EDGES,
         freqs=freqs,
         mean=float(np.mean([h.mean for h in histograms])),
         count=int(sum(h.count for h in histograms)),
@@ -93,9 +85,6 @@ def energy_audit(noise: StegoNoiseGrid, quant_table) -> EnergyAudit:
 class DominanceReport:
     median_ratio: float
     content_median: float
-    noise_median: float
-    ratio_p10: float
-    ratio_p90: float
     n_patches: int
     n_excluded: int
 
@@ -126,14 +115,10 @@ def gradient_dominance(cover: ImagePlane, noise: ImagePlane, kernel: np.ndarray)
     keep = noise_term > 0
     excluded = int(keep.size - keep.sum())
     if not keep.any():
-        return DominanceReport(np.inf, float(np.median(content)), 0.0, np.inf, np.inf, 0, excluded)
-    ratios = content[keep] / noise_term[keep]
+        return DominanceReport(np.inf, float(np.median(content)), 0, excluded)
     return DominanceReport(
-        median_ratio=float(np.median(ratios)),
+        median_ratio=float(np.median(content[keep] / noise_term[keep])),
         content_median=float(np.median(content[keep])),
-        noise_median=float(np.median(noise_term[keep])),
-        ratio_p10=float(np.percentile(ratios, 10)),
-        ratio_p90=float(np.percentile(ratios, 90)),
         n_patches=int(keep.sum()),
         n_excluded=excluded,
     )

@@ -22,8 +22,8 @@ class QtSpec:
     def __post_init__(self):
         if int(self.T) != self.T or self.T < 1:
             raise ValueError(f"threshold must be a positive integer, got {self.T!r}")
-        if not self.q > 0:
-            raise ValueError(f"quantization step must be positive, got {self.q!r}")
+        if not 0 < self.q < np.inf:
+            raise ValueError(f"quantization step must be positive and finite, got {self.q!r}")
         object.__setattr__(self, "T", int(self.T))
         object.__setattr__(self, "q", float(self.q))
 
@@ -38,11 +38,10 @@ DEFAULT_QT_SPECS = (QtSpec(4, 1), QtSpec(4, 2), QtSpec(4, 4))
 
 @dataclass(frozen=True)
 class KernelBank:
-    """k*k unit-Frobenius-norm convolution kernels with their (k, l) labels."""
+    """k*k unit-Frobenius-norm convolution kernels; kernel a*k + b is pattern (a, b)."""
 
     size: int
     kernels: np.ndarray  # (size*size, size, size)
-    labels: tuple
 
     def __post_init__(self):
         k = self.size
@@ -55,7 +54,6 @@ class KernelBank:
         kernels = kernels.copy()
         kernels.setflags(write=False)
         object.__setattr__(self, "kernels", kernels)
-        object.__setattr__(self, "labels", tuple(self.labels))
 
 
 def dct_basis(k: int) -> KernelBank:
@@ -65,8 +63,7 @@ def dct_basis(k: int) -> KernelBank:
         raise ValueError(f"kernel size must be one of {SUPPORTED_KERNEL_SIZES}, got {k}")
     rows = dct_matrix(k)
     kernels = np.einsum("km,ln->klmn", rows, rows).reshape(k * k, k, k)
-    labels = tuple((a, b) for a in range(k) for b in range(k))
-    return KernelBank(size=k, kernels=kernels, labels=labels)
+    return KernelBank(size=k, kernels=kernels)
 
 
 def convolve_batch(padded: np.ndarray, bank: KernelBank) -> np.ndarray:

@@ -4,6 +4,7 @@ coefficient embedding, synthetic texture covers, and leak-free manifests."""
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import get_type_hints
@@ -65,7 +66,6 @@ def prepare_cover(pixels: np.ndarray, qf: int) -> DctGrid:
 
 
 def _ac_mask(shape) -> np.ndarray:
-    h, w = shape
     mask = np.ones(shape, dtype=bool)
     mask[0::BLOCK, 0::BLOCK] = False
     return mask
@@ -191,13 +191,8 @@ def build_dataset(
             split=split_of[pair_id],
         )
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(one_pair, range(n)))
-    else:
-        records = [one_pair(pair_id) for pair_id in range(n)]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        records = list(pool.map(one_pair, range(n)))
 
     manifest = DatasetManifest(
         config={

@@ -116,15 +116,14 @@ class PairSplit:
 
 
 class FrontEnd:
-    """Fixed residual front end; ``dtype`` is its convolution's (groups are ints)."""
+    """Fixed residual front end: a kernel bank and its Q&T specs, in group order."""
 
-    def __init__(self, bank: KernelBank, specs, dtype=np.float32):
+    def __init__(self, bank: KernelBank, specs):
         self.bank = bank
         self.specs = tuple(specs)
-        self.dtype = dtype
 
     def transform(self, planes: np.ndarray) -> list:
-        return front_stage_batch(planes, self.bank, self.specs, self.dtype)
+        return front_stage_batch(planes, self.bank, self.specs)
 
 
 def _check_front_end(model: HybridModel, front: FrontEnd) -> None:
@@ -209,9 +208,12 @@ def train(
     velocities: dict = {}
     metrics: list[Metrics] = []
     start_time = time.monotonic()
-    writer = _MetricsWriter(metrics_path, run_config) if metrics_path else None
+    if metrics_path:  # a "# <run_config JSON>" line, the CSV header, then a row per eval
+        with open(metrics_path, "w") as fh:
+            if run_config is not None:
+                fh.write("# " + json.dumps(run_config, sort_keys=True) + "\n")
+            fh.write(METRICS_CSV_HEADER + "\n")
 
-    loss = float("nan")
     for iteration in range(cfg.max_iter):
         idx = next(batches)
         planes = np.concatenate([train_split.covers[idx], train_split.stegos[idx]])
@@ -236,8 +238,9 @@ def train(
                 seconds=time.monotonic() - start_time,
             )
             metrics.append(row)
-            if writer:
-                writer.append(row)
+            if metrics_path:
+                with open(metrics_path, "a") as fh:
+                    fh.write(row.csv_row() + "\n")
             if log:
                 log(
                     f"iter {done}: loss {loss:.4f} acc {acc:.4f} "
@@ -250,21 +253,6 @@ def train(
     if checkpoint_path:
         save_checkpoint(model, checkpoint_path, iteration=metrics[-1].iteration if metrics else cfg.max_iter)
     return metrics
-
-
-class _MetricsWriter:
-    """Incremental CSV writer with a JSON config comment on the first line."""
-
-    def __init__(self, path, run_config):
-        self.path = path
-        with open(path, "w") as fh:
-            if run_config is not None:
-                fh.write("# " + json.dumps(run_config, sort_keys=True) + "\n")
-            fh.write(METRICS_CSV_HEADER + "\n")
-
-    def append(self, row: Metrics):
-        with open(self.path, "a") as fh:
-            fh.write(row.csv_row() + "\n")
 
 
 def ensemble_vote(predictions: np.ndarray) -> np.ndarray:

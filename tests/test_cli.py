@@ -400,6 +400,26 @@ def _rename_record(header):
     header["layers"][0]["name"] = "g0.b1.conv.x"
 
 
+def _kernel_size_7(data: bytes) -> bytes:
+    """A self-consistent file for 7x7 front-end kernels: 49 b1 input channels."""
+    length = int.from_bytes(data[4:8], "little")
+    records = json.loads(data[8 : 8 + length])["layers"]
+    blobs, offset = [], 8 + length
+    for record in records:
+        size = 4 * int(np.prod(record["shape"]))
+        blobs.append(data[offset : offset + size])
+        offset += size
+        if record["name"].endswith("b1.conv.w"):
+            record["shape"][1] = 49
+            blobs[-1] = bytes(4 * int(np.prod(record["shape"])))
+
+    def edit(header):
+        header["arch"]["kernel_size"] = 7
+        header["layers"] = records
+
+    return _edit_header(data[: 8 + length] + b"".join(blobs), edit)
+
+
 CORRUPTIONS = {
     "truncated": lambda d: d[:-4],
     "over-long": lambda d: d + b"\0\0\0\0",
@@ -411,6 +431,23 @@ CORRUPTIONS = {
     "bad-seed": lambda d: _edit_header(d, lambda h: h.update(seed="x")),
     "bad-magic": lambda d: b"JUNK" + d[4:],
     "non-finite": _nan_first_blob,
+    "int-qt-labels": lambda d: _edit_header(d, lambda h: h["arch"].update(qt_labels=[1, 2, 3])),
+    "bad-qt-label": lambda d: _edit_header(
+        d, lambda h: h["arch"].update(qt_labels=["4:1", "4:2", "x:y"])
+    ),
+    "kernel-size-7": _kernel_size_7,
+    "qt-order-mismatch": lambda d: _edit_header(d, lambda h: h["qt_order"].reverse()),
+    "bad-iteration": lambda d: _edit_header(d, lambda h: h.update(iteration="lots")),
+    "negative-iteration": lambda d: _edit_header(d, lambda h: h.update(iteration=-5)),
+}
+#: The field a corruption's message names right after the file, where checked.
+NAMED_FIELD = {
+    "int-qt-labels": "arch: qt_labels",
+    "bad-qt-label": "arch: qt_labels",
+    "kernel-size-7": "arch: kernel_size",
+    "qt-order-mismatch": "qt_order",
+    "bad-iteration": "iteration",
+    "negative-iteration": "iteration",
 }
 
 
@@ -426,7 +463,7 @@ class TestCorruptCheckpoint:
             capsys,
         )
         assert code == 2
-        assert str(bad) in err
+        assert f"{bad}: {NAMED_FIELD.get(corruption, '')}" in err
 
     def test_oversized_arch_claim_exits_2_before_building_the_model(
         self, dataset_dir, trained_dir, tmp_path, capsys, monkeypatch

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from stegokit.micronet import ops
-from stegokit.micronet.layers import Conv2d
+from stegokit.micronet.layers import BatchNorm2d, Conv2d
 
 
 def naive_conv2d(x, w, b, stride, pad):
@@ -330,6 +330,16 @@ class TestConvLayer:
 
 
 class TestBatchNorm:
+    def test_layer_with_zero_momentum_takes_the_batch_statistics(self):
+        # perfbench calibrates a checkpoint's running statistics this way.
+        x = np.random.default_rng(26).normal(1.0, 2.0, size=(4, 3, 5, 6)).astype(np.float32)
+        layer = BatchNorm2d(3)
+        layer.momentum = 0.0
+        layer.forward(x, training=True)
+        x64 = x.astype(np.float64)
+        assert np.allclose(layer.running_mean, x64.mean(axis=(0, 2, 3)), rtol=1e-6, atol=1e-6)
+        assert np.allclose(layer.running_var, x64.var(axis=(0, 2, 3)), rtol=1e-6, atol=1e-6)
+
     def test_normalizes_small_channel(self):
         x = np.array([1.0, 2.0, 3.0]).reshape(3, 1, 1, 1)
         gamma, beta = np.ones(1), np.zeros(1)

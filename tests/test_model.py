@@ -100,6 +100,20 @@ class TestConfigBounds:
         with pytest.raises(ConfigError, match=field):
             HybridConfig(**{field: value})
 
+    @pytest.mark.parametrize("field, value", [
+        ("kernel_size", 7),
+        ("kernel_size", 5.0),
+        ("qt_labels", (1, 2, 3)),
+        ("qt_labels", ("4:1", "4:2", "x:y")),
+        ("qt_labels", ("4:1.0",)),
+        ("qt_labels", ("4:1,4:2",)),
+        ("qt_labels", ("4:inf",)),
+        ("qt_labels", ()),
+    ])
+    def test_front_end_fields_the_front_end_cannot_build_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            HybridConfig(**{field: value})
+
 
 def tiny_config(qt_labels=("4:1", "4:2", "4:4")):
     return HybridConfig(
@@ -176,6 +190,44 @@ class TestHybridModel:
         b = build_hybrid_model(tiny_config(), seed=9)
         for (na, la, aa, _), (_, lb, ab, _) in zip(a.named_params(), b.named_params()):
             assert np.array_equal(getattr(la, aa), getattr(lb, ab)), na
+
+
+class TestGradientState:
+    """Gradients exist only once backward has run, and eval mode caches nothing."""
+
+    def grads(self, model):
+        return [
+            f"{lname}.g{attr}"
+            for lname, layer in model.named_layers()
+            for attr in layer.param_names()
+            if hasattr(layer, "g" + attr)
+        ]
+
+    def test_fresh_and_loaded_models_hold_no_gradients(self, tmp_path):
+        model = build_hybrid_model(tiny_config(), seed=2)
+        assert self.grads(model) == []
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        assert self.grads(load_checkpoint(tmp_path / "m.ckpt")[0]) == []
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_backward_gives_every_parameter_its_gradient(self, dtype):
+        model = build_hybrid_model(tiny_config(), seed=2, dtype=dtype)
+        rng = np.random.default_rng(11)
+        groups = [rng.integers(-4, 5, (4, 25, 16, 16)).astype(dtype) for _ in range(3)]
+        _, grad = ops.softmax_xent(model.forward(groups, training=True), np.array([0, 1, 1, 0]))
+        model.backward(grad)
+        for name, layer, attr, _ in model.named_params():
+            param, g = getattr(layer, attr), getattr(layer, "g" + attr)
+            assert (g.shape, g.dtype) == (param.shape, param.dtype), name
+
+    def test_eval_forward_caches_no_arrays(self):
+        model = build_hybrid_model(tiny_config(), seed=2)
+        rng = np.random.default_rng(12)
+        model.forward([rng.normal(size=(2, 25, 16, 16)).astype(np.float32) for _ in range(3)])
+        for lname, layer in model.named_layers():
+            kept = set(layer.param_names()) | set(layer.state_names())
+            held = [k for k, v in vars(layer).items() if isinstance(v, np.ndarray)]
+            assert set(held) <= kept, lname
 
 
 class TestHybridForward:

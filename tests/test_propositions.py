@@ -66,14 +66,6 @@ class TestRatioHistogram:
         assert np.isclose(avg.freqs.sum(), 1.0)
         assert avg.count == 128
 
-    def test_average_requires_matching_edges(self):
-        cover = codec.ImagePlane(np.full((8, 8), 10.0))
-        noise = codec.ImagePlane(np.full((8, 8), 1.0))
-        a = ratio_histogram(cover, noise)
-        b = ratio_histogram(cover, noise, edges=np.array([0.0, 1.0, np.inf]))
-        with pytest.raises(ValueError):
-            average_ratio_histograms([a, b])
-
 
 class TestEnergyAudit:
     def test_zero_noise(self):

@@ -82,19 +82,22 @@ class TestDctBasis:
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_bank_counts_and_labels(self, k):
+        # Kernel a*k + b is pattern (a, b): DC first, rows of the DCT along a.
         bank = dct_basis(k)
         assert bank.kernels.shape == (k * k, k, k)
-        assert bank.labels[0] == (0, 0)
-        assert bank.labels[-1] == (k - 1, k - 1)
-        assert len(bank.labels) == k * k
+        rows = dct_matrix(k)
+        assert np.array_equal(bank.kernels[1], np.outer(rows[0], rows[1]))
+        assert np.array_equal(bank.kernels[k], np.outer(rows[1], rows[0]))
+        assert np.array_equal(bank.kernels[-1], np.outer(rows[k - 1], rows[k - 1]))
 
     @pytest.mark.parametrize("k", [3, 5, 8])
     def test_patterns_are_outer_products_of_the_codec_dct(self, k):
         # One DCT-II for the codec's blocks and the front end's kernels.
         rows = dct_matrix(k)
         bank = dct_basis(k)
-        for (a, b), kernel in zip(bank.labels, bank.kernels):
-            assert np.array_equal(kernel, np.outer(rows[a], rows[b])), (a, b)
+        for a in range(k):
+            for b in range(k):
+                assert np.array_equal(bank.kernels[a * k + b], np.outer(rows[a], rows[b])), (a, b)
 
     @pytest.mark.parametrize("k", [2, 4, 7, 16])
     def test_unsupported_size_rejected(self, k):
@@ -103,7 +106,7 @@ class TestDctBasis:
 
     def test_non_unit_norm_kernels_rejected(self):
         with pytest.raises(ValueError):
-            KernelBank(size=3, kernels=np.ones((9, 3, 3)), labels=[(0, 0)] * 9)
+            KernelBank(size=3, kernels=np.ones((9, 3, 3)))
 
 
 class TestConvolveResiduals:

@@ -90,7 +90,7 @@ class TestSgdStep:
             for name, layer, attr, _ in model.named_params()
         }
         for _, layer, attr, _ in model.named_params():
-            getattr(layer, "g" + attr)[...] = 0.0
+            setattr(layer, "g" + attr, np.zeros_like(getattr(layer, attr)))
         cfg = trainer.TrainConfig(weight_decay=0.1)
         trainer.sgd_step(model, {}, cfg, iteration=0)
         for name, layer, attr, decayed in model.named_params():
@@ -102,6 +102,8 @@ class TestSgdStep:
 
     def test_non_finite_gradient_aborts_with_layer_name(self):
         model = tiny_model()
+        for _, layer, attr, _ in model.named_params():
+            setattr(layer, "g" + attr, np.zeros_like(getattr(layer, attr)))
         first = next(iter(model.named_params()))
         getattr(first[1], "g" + first[2])[...] = np.nan
         with pytest.raises(trainer.DivergenceError, match=first[0]):
