@@ -38,6 +38,15 @@ def dct_matrix(n: int) -> np.ndarray:
 _A8 = dct_matrix(BLOCK)
 
 
+def _block_plane(plane: np.ndarray) -> None:
+    """Raise unless plane is 2-D with whole 8x8 blocks."""
+    if plane.ndim != 2:
+        raise ValueError("coeffs must be a 2-D plane")
+    h, w = plane.shape
+    if h % BLOCK or w % BLOCK:
+        raise ValueError(f"dimensions must be multiples of {BLOCK}, got {h}x{w}")
+
+
 def _frozen(arr: np.ndarray, dtype) -> np.ndarray:
     out = np.array(arr, dtype=dtype, order="C", copy=True)
     out.setflags(write=False)
@@ -57,11 +66,7 @@ class DctGrid:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs)
-        if coeffs.ndim != 2:
-            raise ValueError("coeffs must be a 2-D plane")
-        h, w = coeffs.shape
-        if h % BLOCK or w % BLOCK:
-            raise ValueError(f"dimensions must be multiples of {BLOCK}, got {h}x{w}")
+        _block_plane(coeffs)
         if coeffs.dtype != np.int16:
             if coeffs.min(initial=0) < -32768 or coeffs.max(initial=0) > 32767:
                 raise ValueError("coefficients exceed signed 16-bit range")
@@ -97,11 +102,7 @@ class StegoNoiseGrid:
 
     def __post_init__(self):
         coeffs = np.asarray(self.coeffs)
-        if coeffs.ndim != 2:
-            raise ValueError("coeffs must be a 2-D plane")
-        h, w = coeffs.shape
-        if h % BLOCK or w % BLOCK:
-            raise ValueError(f"dimensions must be multiples of {BLOCK}, got {h}x{w}")
+        _block_plane(coeffs)
         if coeffs.size and np.abs(coeffs).max() > 1:
             raise ValueError("noise entries must lie in {-1, 0, +1}")
         object.__setattr__(self, "coeffs", _frozen(coeffs, np.int16))
@@ -128,10 +129,14 @@ def from_blocks(blocks: np.ndarray) -> np.ndarray:
     return blocks.transpose(0, 2, 1, 3).reshape(bh * BLOCK, bw * BLOCK)
 
 
-def dequantize(grid: DctGrid) -> np.ndarray:
-    """Element-wise multiply coefficients by the quantization table."""
-    blocks = to_blocks(grid.coeffs.astype(np.float64))
-    return from_blocks(blocks * grid.quant_table.astype(np.float64))
+def dequantize(coeffs: np.ndarray, quant_table: np.ndarray) -> np.ndarray:
+    """Float64 coefficient plane times the 8x8 quantization table, per block."""
+    qt = np.asarray(quant_table, dtype=np.float64)
+    if qt.shape != (BLOCK, BLOCK):
+        raise ValueError("quant_table must be 8x8")
+    h, w = coeffs.shape
+    blocks = coeffs.astype(np.float64).reshape(h // BLOCK, BLOCK, w // BLOCK, BLOCK)
+    return (blocks * qt[:, None, :]).reshape(h, w)
 
 
 def idct_blocks(coeff_plane: np.ndarray) -> np.ndarray:
@@ -146,7 +151,7 @@ def decompress(grid: DctGrid) -> ImagePlane:
 
     Output stays real-valued: no rounding and no clamping to [0, 255].
     """
-    return ImagePlane(idct_blocks(dequantize(grid)) + 128.0)
+    return ImagePlane(idct_blocks(dequantize(grid.coeffs, grid.quant_table)) + 128.0)
 
 
 def forward_dct_blocks(plane: ImagePlane) -> np.ndarray:
@@ -154,9 +159,7 @@ def forward_dct_blocks(plane: ImagePlane) -> np.ndarray:
 
     Returns the real (unquantized) coefficient plane.
     """
-    h, w = plane.values.shape
-    if h % BLOCK or w % BLOCK:
-        raise ValueError(f"dimensions must be multiples of {BLOCK}, got {h}x{w}")
+    _block_plane(plane.values)
     blocks = to_blocks(plane.values - 128.0)
     return from_blocks(_A8 @ blocks @ _A8.T)
 
@@ -164,8 +167,4 @@ def forward_dct_blocks(plane: ImagePlane) -> np.ndarray:
 def noise_to_spatial(noise: StegoNoiseGrid, quant_table: np.ndarray) -> ImagePlane:
     """Map coefficient noise to the spatial domain: IDCT of the dequantized
     noise, with no level shift (the noise is differential)."""
-    qt = np.asarray(quant_table, dtype=np.float64)
-    if qt.shape != (BLOCK, BLOCK):
-        raise ValueError("quant_table must be 8x8")
-    blocks = to_blocks(noise.coeffs.astype(np.float64)) * qt
-    return ImagePlane(idct_blocks(from_blocks(blocks)))
+    return ImagePlane(idct_blocks(dequantize(noise.coeffs, quant_table)))

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import HybridConfig, HybridModel, stored_values
+from .model import HybridConfig, HybridModel
 
 MAGIC = b"SKPT"
 FORMAT_VERSION = 1
@@ -17,8 +17,10 @@ HEADER_KEYS = ("format", "arch", "iteration", "seed", "qt_order", "layers")
 
 
 class _NoDraw:
-    # Init generator for a skeleton whose every array is read from the file.
-    normal = staticmethod(lambda loc, scale, size: np.zeros(size, np.float32))
+    # Init generator for a skeleton whose weights are read from the file: a
+    # read-only zero-stride placeholder, so the skeleton costs O(channels)
+    # memory whatever its header claims.
+    normal = staticmethod(lambda loc, scale, size: np.broadcast_to(np.float32(0), size))
 
 
 def _entries(model: HybridModel):
@@ -56,10 +58,10 @@ def load_checkpoint(path) -> tuple[HybridModel, dict]:
     """Rebuild the float32 model skeleton from the header and fill in its arrays.
 
     Returns (model, header). The header must hold every key, a valid arch
-    and its qt_labels as qt_order; the arrays arch implies must fill the rest
-    of the file (checked before the model is built), the records must name
-    them in model order with their shapes, and every blob must be finite;
-    any other file raises ValueError("<path>: <field>: ...").
+    and its qt_labels as qt_order; the arrays of the skeleton arch builds
+    (read-only placeholders until filled) must fill the rest of the file, the
+    records must name them in model order with their shapes, and every blob
+    must be finite; any other file raises ValueError("<path>: <field>: ...").
     """
     data = Path(path).read_bytes()
     if data[:4] != MAGIC:
@@ -74,24 +76,26 @@ def load_checkpoint(path) -> tuple[HybridModel, dict]:
     missing = [key for key in HEADER_KEYS if not isinstance(header, dict) or key not in header]
     if missing:
         raise ValueError(f"{path}: header: missing keys {missing}")
-    if header["format"] != FORMAT_VERSION:
+    # JSON true/false are Python bools, which isinstance(..., int) accepts.
+    if type(header["format"]) is not int or header["format"] != FORMAT_VERSION:
         raise ValueError(f"{path}: format: unsupported checkpoint format {header['format']}")
     for key in ("iteration", "seed"):
-        if not isinstance(header[key], int) or header[key] < 0:
+        if type(header[key]) is not int or header[key] < 0:
             raise ValueError(f"{path}: {key}: not a non-negative integer: {header[key]!r}")
     try:
         config = HybridConfig.from_json_dict(header["arch"])
-        claimed, held = 4 * stored_values(config), len(data) - 8 - length
-        if claimed != held:
-            raise ValueError(f"its arrays take {claimed} bytes, the file holds {held}")
         model = HybridModel.__new__(HybridModel)
         model._build(config, header["seed"], _NoDraw, np.float32)
+        entries = list(_entries(model))
+        claimed = 4 * sum(getattr(layer, attr).size for _, layer, attr in entries)
+        held = len(data) - 8 - length
+        if claimed != held:
+            raise ValueError(f"its arrays take {claimed} bytes, the file holds {held}")
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: arch: {exc}") from None
     if header["qt_order"] != list(config.qt_labels):
         raise ValueError(f"{path}: qt_order: {header['qt_order']!r} is not arch.qt_labels")
 
-    entries = list(_entries(model))
     records = header["layers"]
     if not isinstance(records, list):
         raise ValueError(f"{path}: layers: not a list")

@@ -45,7 +45,7 @@ class Conv2d(Layer):
         self.input_grad = input_grad
         scale = np.sqrt(2.0 / (in_ch * kernel * kernel))
         rng = rng or np.random.default_rng(0)
-        self.w = rng.normal(0.0, scale, (out_ch, in_ch, kernel, kernel)).astype(dtype)
+        self.w = rng.normal(0.0, scale, (out_ch, in_ch, kernel, kernel)).astype(dtype, copy=False)
         self.b = np.zeros(out_ch, dtype=dtype)
 
     def param_names(self):
@@ -157,7 +157,7 @@ class Dense(Layer):
     def __init__(self, in_features, out_features, rng=None, dtype=np.float32):
         scale = np.sqrt(2.0 / in_features)
         rng = rng or np.random.default_rng(0)
-        self.w = rng.normal(0.0, scale, (in_features, out_features)).astype(dtype)
+        self.w = rng.normal(0.0, scale, (in_features, out_features)).astype(dtype, copy=False)
         self.b = np.zeros(out_features, dtype=dtype)
 
     def param_names(self):

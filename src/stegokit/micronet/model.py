@@ -24,6 +24,10 @@ N_CLASSES = 2
 #: Largest input side, stride and layer width a config may name: far beyond
 #: what this code trains, and a bound on what a checkpoint header can claim.
 MAX_SIZE = 8192
+#: Most Q&T groups a config may name. The checkpoint loader builds one subnet
+#: per group, each with up to 15 * MAX_SIZE per-channel values, before it
+#: checks the header's claim against the file size.
+MAX_GROUPS = 16
 
 
 class ConfigError(ValueError):
@@ -50,9 +54,12 @@ class HybridConfig:
             raise ConfigError("exactly three conv widths required")
         for name in ("kernel_size", "input_size", "first_stride", "widths", "head_widths"):
             value = getattr(self, name)
-            if not all(isinstance(v, int) and 1 <= v <= MAX_SIZE
+            # type(): a JSON true is a bool, which isinstance(..., int) accepts.
+            if not all(type(v) is int and 1 <= v <= MAX_SIZE
                        for v in (value if isinstance(value, tuple) else (value,))):
                 raise ConfigError(f"{name} must be integers in [1, {MAX_SIZE}], got {value!r}")
+        if type(self.use_bn) is not bool:
+            raise ConfigError(f"use_bn must be true or false, got {self.use_bn!r}")
         if self.kernel_size not in SUPPORTED_KERNEL_SIZES:
             raise ConfigError(f"kernel_size {self.kernel_size} is not in {SUPPORTED_KERNEL_SIZES}")
         try:
@@ -61,10 +68,8 @@ class HybridConfig:
             labels = None  # not strings, or not T:q
         if labels != tuple(self.qt_labels):
             raise ConfigError(f'qt_labels must be "T:q" labels, got {self.qt_labels!r}')
-
-    @property
-    def n_groups(self) -> int:
-        return len(self.qt_labels)
+        if len(labels) > MAX_GROUPS:
+            raise ConfigError(f"qt_labels names {len(labels)} groups, at most {MAX_GROUPS}")
 
     def to_json_dict(self) -> dict:
         return asdict(self)
@@ -146,20 +151,6 @@ def build_subnet(config: HybridConfig, rng=None, dtype=np.float32) -> Sequential
     return Sequential(layers)
 
 
-def stored_values(config: HybridConfig) -> int:
-    """Count of the parameters and BN running statistics of a model of config,
-    from config alone: a checkpoint's claim is checked before allocating."""
-    w1, w2, w3 = config.widths
-    k1, k2, k3 = CONV_KERNELS[config.variant]
-    per_channel = 5 if config.use_bn else 1  # conv bias; BN gamma, beta, mean, var
-    convs = config.kernel_size**2 * w1 * k1 * k1 + w1 * w2 * k2 * k2 + w2 * w3 * k3 * k3
-    total = config.n_groups * (convs + per_channel * (w1 + w2 + w3))
-    width = config.n_groups * w3 * (1 if config.variant == "type1" else 4)  # 1x1 or 2x2 pool
-    for out in (*config.head_widths, N_CLASSES):
-        total, width = total + (width + 1) * out, out
-    return total
-
-
 class HybridModel:
     """Per-group subnets feeding a shared fully-connected head.
 
@@ -173,10 +164,10 @@ class HybridModel:
     def _build(self, config: HybridConfig, seed: int, rng, dtype) -> None:
         self.config = config
         self.seed = seed
-        self.subnets = [build_subnet(config, rng, dtype) for _ in range(config.n_groups)]
+        self.subnets = [build_subnet(config, rng, dtype) for _ in config.qt_labels]
         in_shape = (1, config.kernel_size**2, config.input_size, config.input_size)
         head_layers = []
-        width_in = config.n_groups * self.subnets[0].out_shape(in_shape)[1]
+        width_in = len(self.subnets) * self.subnets[0].out_shape(in_shape)[1]
         for i, width in enumerate(config.head_widths):
             head_layers.append((f"fc{i}", Dense(width_in, width, rng, dtype)))
             head_layers.append((f"relu{i}", ReLU()))

@@ -283,10 +283,9 @@ def avgpool_backward(
     if _pool_tiles(h, w, window, stride, pad):
         tiled = np.broadcast_to(share[:, :, None, :, None], (n, oh, window, ow, window, c))
         return tiled.reshape(n, h, w, c).transpose(0, 3, 1, 2)
-    gx = np.zeros((n, h + 2 * pad, w + 2 * pad, c), dtype=grad_out.dtype)
-    for u in range(window):
-        for v in range(window):
-            gx[:, u : u + stride * oh : stride, v : v + stride * ow : stride] += share
+    # Every window offset gets the same share: col2im on a broadcast patch matrix.
+    cols = np.broadcast_to(share[:, :, :, None, None], (n, oh, ow, window, window, c))
+    gx = col2im(cols, (n, h + 2 * pad, w + 2 * pad, c), window, stride, oh, ow)
     return gx[:, pad : pad + h, pad : pad + w].transpose(0, 3, 1, 2)
 
 

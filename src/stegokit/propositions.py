@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import ImagePlane, StegoNoiseGrid, noise_to_spatial
+from .codec import ImagePlane, StegoNoiseGrid, dequantize, noise_to_spatial
 from .residual import QtSpec, quantize_truncate
 
 #: Unit-width bins over [1, 512); bin 0 catches ratios below 1 and the last
@@ -71,10 +71,7 @@ def energy_audit(noise: StegoNoiseGrid, quant_table) -> EnergyAudit:
     """Frobenius energy on both sides of the coefficient-to-spatial map."""
     spatial = noise_to_spatial(noise, quant_table).values
     spatial_energy = float((spatial**2).sum())
-    qt = np.asarray(quant_table, dtype=np.float64)
-    h, w = noise.coeffs.shape
-    scaled = noise.coeffs.reshape(h // 8, 8, w // 8, 8) * qt[None, :, None, :]
-    coeff_energy = float((scaled.astype(np.float64) ** 2).sum())
+    coeff_energy = float((dequantize(noise.coeffs, quant_table) ** 2).sum())
     if coeff_energy == 0.0:
         return EnergyAudit(spatial_energy, coeff_energy, 0.0)
     gap = abs(spatial_energy - coeff_energy) / coeff_energy

@@ -101,8 +101,8 @@ def quantize_truncate(values: np.ndarray, spec: QtSpec) -> np.ndarray:
     return out
 
 
-def front_stage_batch(planes: np.ndarray, bank: KernelBank, specs, dtype=np.float32) -> list:
-    """Convolve in ``dtype``, then quantize/truncate per spec (spec-major).
+def front_stage_batch(planes: np.ndarray, bank: KernelBank, specs) -> list:
+    """Convolve in float32, then quantize/truncate per spec (spec-major).
 
     planes: (n, H, W); returns per spec an (n, k*k, H, W) channels-last view
     in the smallest signed int holding +-T, built ops.CHUNK_ROWS pixels at a
@@ -110,7 +110,7 @@ def front_stage_batch(planes: np.ndarray, bank: KernelBank, specs, dtype=np.floa
     specs = tuple(specs)
     if not specs:
         raise ValueError("at least one QtSpec required")
-    planes = np.asarray(planes, dtype=dtype)
+    planes = np.asarray(planes, dtype=np.float32)
     n, h, w = planes.shape
     k = bank.size
     if h < k or w < k:

@@ -1,11 +1,12 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stegokit import cli
 from stegokit.micronet import checkpoint, load_checkpoint
-from stegokit.micronet.model import HybridModel
+from stegokit.micronet.model import HybridConfig, HybridModel
 from stegokit.residual import dct_basis, front_stage_batch, parse_qt_specs
 from stegokit.trainer import ensemble_vote
 
@@ -420,6 +421,25 @@ def _kernel_size_7(data: bytes) -> bytes:
     return _edit_header(data[: 8 + length] + b"".join(blobs), edit)
 
 
+def _true_first_width(data: bytes) -> bytes:
+    """A self-consistent file (zero arrays) for the trained arch with a first
+    conv width of 1, whose header then gives that width as JSON true."""
+    length = int.from_bytes(data[4:8], "little")
+    arch = json.loads(data[8 : 8 + length])["arch"]
+    arch["widths"][0] = 1
+    entries = list(checkpoint._entries(HybridModel(HybridConfig.from_json_dict(arch))))
+    blobs = b"".join(bytes(4 * getattr(layer, attr).size) for _, layer, attr in entries)
+
+    def edit(header):
+        header["arch"] = dict(arch, widths=[True, *arch["widths"][1:]])
+        header["layers"] = [
+            {"name": name, "shape": list(getattr(layer, attr).shape)}
+            for name, layer, attr in entries
+        ]
+
+    return _edit_header(data[: 8 + length] + blobs, edit)
+
+
 CORRUPTIONS = {
     "truncated": lambda d: d[:-4],
     "over-long": lambda d: d + b"\0\0\0\0",
@@ -439,6 +459,14 @@ CORRUPTIONS = {
     "qt-order-mismatch": lambda d: _edit_header(d, lambda h: h["qt_order"].reverse()),
     "bad-iteration": lambda d: _edit_header(d, lambda h: h.update(iteration="lots")),
     "negative-iteration": lambda d: _edit_header(d, lambda h: h.update(iteration=-5)),
+    "bool-iteration": lambda d: _edit_header(d, lambda h: h.update(iteration=True)),
+    "bool-seed": lambda d: _edit_header(d, lambda h: h.update(seed=False)),
+    "bool-format": lambda d: _edit_header(d, lambda h: h.update(format=True)),
+    "float-format": lambda d: _edit_header(d, lambda h: h.update(format=1.0)),
+    "bool-width": _true_first_width,
+    # type1's arrays do not depend on the first stride, so the file stays consistent.
+    "bool-first-stride": lambda d: _edit_header(d, lambda h: h["arch"].update(first_stride=True)),
+    "string-use-bn": lambda d: _edit_header(d, lambda h: h["arch"].update(use_bn="false")),
 }
 #: The field a corruption's message names right after the file, where checked.
 NAMED_FIELD = {
@@ -448,6 +476,13 @@ NAMED_FIELD = {
     "qt-order-mismatch": "qt_order",
     "bad-iteration": "iteration",
     "negative-iteration": "iteration",
+    "bool-iteration": "iteration",
+    "bool-seed": "seed",
+    "bool-format": "format",
+    "float-format": "format",
+    "bool-width": "arch: widths",
+    "bool-first-stride": "arch: first_stride",
+    "string-use-bn": "arch: use_bn",
 }
 
 
@@ -466,7 +501,7 @@ class TestCorruptCheckpoint:
         assert f"{bad}: {NAMED_FIELD.get(corruption, '')}" in err
 
     def test_oversized_arch_claim_exits_2_before_building_the_model(
-        self, dataset_dir, trained_dir, tmp_path, capsys, monkeypatch
+        self, dataset_dir, trained_dir, tmp_path, capsys
     ):
         # A small file whose header claims a model of hundreds of MB.
         def claim(header):
@@ -474,15 +509,42 @@ class TestCorruptCheckpoint:
 
         bad = tmp_path / "claim.ckpt"
         bad.write_bytes(_edit_header((trained_dir / "model.ckpt").read_bytes(), claim))
-        built = []
-        monkeypatch.setattr(checkpoint, "HybridModel", lambda *a, **k: built.append(a))
         code, _, err = run(
             ["eval", "--checkpoint", str(bad), "--data", str(dataset_dir / "manifest.jsonl")],
             capsys,
         )
         assert code == 2
         assert f"{bad}: arch:" in err and "bytes" in err
-        assert built == []
+        # The size check counts a skeleton of placeholders, not of its weights.
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="arch: its arrays take"):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_many_group_claim_exits_2_before_building_the_subnets(
+        self, trained_dir, tmp_path
+    ):
+        # The skeleton holds real per-channel arrays, up to 0.5 MB per group
+        # at the widest widths, so the group count is bounded before it is built.
+        def claim(header):
+            labels = [f"4:{q}" for q in range(1, 1001)]
+            header["arch"].update(widths=[8192] * 3, qt_labels=labels)
+            header["qt_order"] = labels
+
+        bad = tmp_path / "groups.ckpt"
+        bad.write_bytes(_edit_header((trained_dir / "model.ckpt").read_bytes(), claim))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"{bad}: arch: qt_labels"):
+                load_checkpoint(bad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestVerifyProp1:

@@ -75,12 +75,21 @@ class TestDecompress:
         grid = random_grid(rng)
         plane = codec.decompress(grid)
         recovered = codec.forward_dct_blocks(plane)
-        assert np.allclose(recovered, codec.dequantize(grid), atol=1e-9)
+        assert np.allclose(recovered, codec.dequantize(grid.coeffs, grid.quant_table), atol=1e-9)
+
+    def test_dequantize_multiplies_each_block_by_the_table(self):
+        grid = random_grid(np.random.default_rng(6))
+        blocks = codec.to_blocks(grid.coeffs.astype(np.float64)) * grid.quant_table
+        deq = codec.dequantize(grid.coeffs, grid.quant_table)
+        assert deq.dtype == np.float64
+        assert np.array_equal(deq, codec.from_blocks(blocks))
+        with pytest.raises(ValueError, match="8x8"):
+            codec.dequantize(grid.coeffs, grid.quant_table[:4, :4])
 
     def test_matches_scipy_blockwise_idct(self):
         rng = np.random.default_rng(2)
         grid = random_grid(rng)
-        deq = codec.dequantize(grid)
+        deq = codec.dequantize(grid.coeffs, grid.quant_table)
         expect = np.zeros_like(deq)
         for i in range(0, deq.shape[0], 8):
             for j in range(0, deq.shape[1], 8):

@@ -37,15 +37,19 @@ def loop_avgpool(x, window):
     return out / (window * window)
 
 
-def loop_avgpool_backward(grad_out, x_shape, window):
+def loop_avgpool_backward(grad_out, x_shape, window, stride=None, pad=0):
+    """Each output gradient's share added over its window, one strided slice
+    per window offset, on the padded input; the padding is then cut off."""
+    stride = window if stride is None else stride
+    n, c, h, w = x_shape
     _, _, oh, ow = grad_out.shape
-    gx = np.zeros(x_shape, dtype=grad_out.dtype)
+    gx = np.zeros((n, c, h + 2 * pad, w + 2 * pad), dtype=grad_out.dtype)
     for u in range(window):
         for v in range(window):
-            gx[:, :, u : u + window * oh : window, v : v + window * ow : window] += (
+            gx[:, :, u : u + stride * oh : stride, v : v + stride * ow : stride] += (
                 grad_out / (window * window)
             )
-    return gx
+    return gx[:, :, pad : pad + h, pad : pad + w]
 
 
 def channels_last_copy(a):
@@ -556,6 +560,23 @@ class TestSmallOps:
         back = ops.avgpool_backward(g, x.shape, window)
         assert back.dtype == dtype
         assert np.array_equal(back, loop_avgpool_backward(g, x.shape, window))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "shape,window,stride,pad",
+        [((2, 3, 16, 16), 3, 2, 1), ((2, 3, 9, 9), 3, 2, 1), ((2, 5, 10, 10), 4, 3, 0),
+         ((1, 2, 11, 7), 3, 1, 1)],
+        ids=["type2-pool", "type2-pool-odd", "stride-not-window", "stride-1-padded"],
+    )
+    def test_overlapping_padded_backward_matches_offset_loop(
+        self, shape, window, stride, pad, dtype
+    ):
+        rng = np.random.default_rng(21)
+        x = rng.normal(size=shape).astype(dtype)
+        g = rng.normal(size=ops.avgpool(x, window, stride, pad).shape).astype(dtype)
+        back = ops.avgpool_backward(g, x.shape, window, stride, pad)
+        assert back.dtype == dtype and back.shape == x.shape
+        assert np.array_equal(back, loop_avgpool_backward(g, x.shape, window, stride, pad))
 
     def test_fc_forward_backward(self):
         rng = np.random.default_rng(15)

@@ -9,7 +9,7 @@ from stegokit.micronet import (
     save_checkpoint,
     scaled_config,
 )
-from stegokit.micronet.model import MAX_SIZE, ConfigError, stored_values
+from stegokit.micronet.model import MAX_SIZE, ConfigError
 from stegokit.micronet import ops
 from stegokit.residual import DEFAULT_QT_SPECS, dct_basis, front_stage_batch
 
@@ -70,23 +70,38 @@ class TestSubnetShapes:
 
 
 class TestConfigBounds:
+    @staticmethod
+    def stored(model):
+        """Every parameter and BN statistic of model, by record name."""
+        return {
+            f"{name}.{attr}": getattr(layer, attr)
+            for name, layer in model.named_layers()
+            for attr in layer.param_names() + layer.state_names()
+        }
+
     @pytest.mark.parametrize("variant", ["type1", "type2"])
     @pytest.mark.parametrize("use_bn", [True, False])
     @pytest.mark.parametrize("kernel_size, qt_labels, scale", [
         (5, ("4:1", "4:2", "4:4"), 0.125), (3, ("4:2",), 0.25), (8, ("4:1", "4:2"), 0.1),
     ])
-    def test_stored_values_counts_the_built_model(
-        self, variant, use_bn, kernel_size, qt_labels, scale
+    def test_checkpoint_holds_the_header_and_every_built_array(
+        self, variant, use_bn, kernel_size, qt_labels, scale, tmp_path
     ):
+        # The loader's size check counts the arrays of the skeleton it builds,
+        # so a file saved from any config must pass it and load back whole.
         cfg = scaled_config(variant, scale, kernel_size=kernel_size, qt_labels=qt_labels,
                             input_size=32, use_bn=use_bn)
-        model = build_hybrid_model(cfg)
-        held = sum(
-            getattr(layer, attr).size
-            for _, layer in model.named_layers()
-            for attr in layer.param_names() + layer.state_names()
-        )
-        assert stored_values(cfg) == held
+        model = build_hybrid_model(cfg, seed=4)
+        arrays = self.stored(model)
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        data = path.read_bytes()
+        header_length = int.from_bytes(data[4:8], "little")
+        assert len(data) == 8 + header_length + 4 * sum(a.size for a in arrays.values())
+        back = self.stored(load_checkpoint(path)[0])
+        assert back.keys() == arrays.keys()
+        for key, array in arrays.items():
+            assert back[key].flags.writeable and np.array_equal(back[key], array), key
 
     @pytest.mark.parametrize("field, value", [
         ("widths", (16, 64, MAX_SIZE + 1)),
@@ -95,6 +110,10 @@ class TestConfigBounds:
         ("input_size", 0),
         ("input_size", "256"),
         ("first_stride", 0),
+        ("widths", (True, 64, 512)),
+        ("first_stride", True),
+        ("use_bn", "false"),
+        ("use_bn", 1),
     ])
     def test_out_of_range_sizes_rejected_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=field):
@@ -109,6 +128,7 @@ class TestConfigBounds:
         ("qt_labels", ("4:1,4:2",)),
         ("qt_labels", ("4:inf",)),
         ("qt_labels", ()),
+        ("qt_labels", tuple(f"4:{q}" for q in range(1, 18))),
     ])
     def test_front_end_fields_the_front_end_cannot_build_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):

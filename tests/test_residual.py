@@ -263,12 +263,11 @@ class TestFrontStage:
         bank = dct_basis(5)
         batched = front_stage_batch(planes, bank, DEFAULT_QT_SPECS)
         for i in range(3):
-            alone = front_stage_batch(
-                planes[i : i + 1].astype(np.float64), bank, DEFAULT_QT_SPECS, np.float64
-            )
-            for g, group in enumerate(alone):
-                assert np.abs(batched[g][i] - group[0]).max() <= 1.0  # boundary-only slack
-                agree = (batched[g][i] == group[0]).mean()
+            residuals = convolve_batch(same_pad(planes[i : i + 1].astype(np.float64), 5), bank)
+            for g, spec in enumerate(DEFAULT_QT_SPECS):
+                alone = quantize_truncate(residuals, spec)[0].transpose(2, 0, 1)
+                assert np.abs(batched[g][i] - alone).max() <= 1.0  # boundary-only slack
+                agree = (batched[g][i] == alone).mean()
                 assert agree > 0.999
 
     def test_spec_major_ordering(self):
@@ -323,7 +322,7 @@ class TestChunkedFrontStage:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_int_groups_give_the_float_groups_logits_and_gradients(self, dtype):
         planes = np.random.default_rng(12).uniform(0, 255, size=(4, 16, 16))
-        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS, dtype)
+        groups = front_stage_batch(planes, dct_basis(5), DEFAULT_QT_SPECS)
         cfg = HybridConfig(input_size=16, widths=(4, 8, 16), head_widths=(16, 8, 4))
         results = []
         for feed in (groups, [np.ascontiguousarray(g, dtype=dtype) for g in groups]):
